@@ -1,5 +1,6 @@
 .PHONY: all build test bench bench-smoke fleet fleet-smoke fuzz \
-	fuzz-smoke smp smp-smoke scale scale-smoke snap-demo trace-demo clean
+	fuzz-smoke smp smp-smoke scale scale-smoke profile snap-demo trace-demo \
+	clean
 
 all: build
 
@@ -74,6 +75,26 @@ scale: build
 # records its mode).
 scale-smoke: build
 	dune exec bench/scale.exe -- --smoke --check BENCH_scale.json
+
+# Host-time CPU profile of one hostbench workload:
+#   make profile W=<switch128|churn4096|fuzz>
+# Runs hostbench/lzbench.exe (seed 1, untraced, hostbench's 30 s
+# window) under gprofng's clock sampling at its default rate, writes
+# the experiment to _build/profile/<W>.er and prints the top functions
+# by exclusive CPU time. Without gprofng it says so and exits 0.
+W ?= switch128
+profile:
+	@if ! command -v gprofng >/dev/null 2>&1; then \
+	  echo "profile: gprofng not found (part of GNU binutils); skipped"; \
+	  exit 0; \
+	fi; \
+	set -e; \
+	dune build ./hostbench/lzbench.exe; \
+	mkdir -p _build/profile; \
+	gprofng collect app -O _build/profile/$(W).er \
+	  ./_build/default/hostbench/lzbench.exe --workload $(W) --seed 1 \
+	  --seconds 30 --trace 0 > _build/profile/$(W).out; \
+	gprofng display text -limit 25 -functions _build/profile/$(W).er
 
 # Snapshot/fork/replay walkthrough (lz_snap demo).
 snap-demo: build

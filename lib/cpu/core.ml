@@ -205,7 +205,9 @@ let refresh_ctx t (c : Mmu.ctx) =
   end
   else begin
     c.Mmu.vmid <- 0;
-    if c.Mmu.s2_root <> None then c.Mmu.s2_root <- None
+    match c.Mmu.s2_root with
+    | Some _ -> c.Mmu.s2_root <- None
+    | None -> ()
   end
 
 let ctx_of t ~unpriv =
@@ -647,7 +649,7 @@ let exec_alu t insn =
   | Insn.Movz (rd, imm, sh) -> set_reg t rd (imm lsl sh)
   | Insn.Movk (rd, imm, sh) ->
       let old = reg t rd in
-      set_reg t rd (Bits.insert old ~hi:(min 62 (sh + 15)) ~lo:sh imm)
+      set_reg t rd (Bits.insert old ~hi:(Int.min 62 (sh + 15)) ~lo:sh imm)
   | Insn.Mov_reg (rd, rm) -> set_reg t rd (reg t rm)
   | Insn.Add (rd, rn, op) -> set_reg t rd (reg t rn + operand_value t op)
   | Insn.Sub (rd, rn, op) -> set_reg t rd (reg t rn - operand_value t op)
@@ -1149,17 +1151,16 @@ let irq_horizon t =
         in
         Lz_irq.Irq.horizon iv ~now:t.cycles ~pmu_hot
 
-type blk_exit =
-  | Bend  (* ran through the terminator; t.pc is the successor *)
-  | Bside of Fastpath.side_exit
-      (* left mid-block through a folded branch's cold direction;
-         t.pc is the cold target.  Side exits are intra-block control
-         flow (pure PC writes), so the interrupt horizon computed at
-         block entry is still valid and the dispatcher may chain
-         straight into the cold target under it. *)
-  | Bbail  (* stopped early (generation/horizon/budget/translation) *)
-  | Bstop of stop  (* trap delivered to the harness *)
-  | Bdeliv  (* trap delivered architecturally; execution continues *)
+(* [exec_block] outcomes. A side exit returns the folded branch's
+   instruction index (>= 0): the block left mid-way through its cold
+   direction with the cold target in t.pc.  Side exits are intra-block
+   control flow (pure PC writes), so the interrupt horizon computed at
+   block entry is still valid and the dispatcher may chain straight
+   into the cold target under it.  A trap raises [Exc] out of
+   [exec_block] to the dispatcher, which delivers it. *)
+let blk_end = -1  (* ran through the terminator; t.pc is the successor *)
+let blk_bail = -2  (* stopped early (generation/horizon/budget/translation) *)
+let blk_running = -3
 
 (* Execute (a prefix of) [blk], whose first instruction is at [t.pc]
    with its instruction fetch already performed and accounted by the
@@ -1175,11 +1176,12 @@ type blk_exit =
    instructions whose [b_eff] bits prove they cannot have moved the
    page or TLB generation — only the just-executed instruction can
    move either between two in-block boundaries — and the proven
-   front-probe hits are accounted in one batch at exit.  After a
-   folded conditional branch, [t.pc] is compared
-   against the recorded hot direction: a match continues the trace,
-   a mismatch leaves through the side exit with the cold target in
-   [t.pc]. *)
+   front-probe hits are accounted in one batch at exit, trap or not
+   (the counters are unobservable mid-block).  After a folded
+   conditional branch, [t.pc] is compared against the recorded hot
+   direction: a match continues the trace, a mismatch leaves through
+   the side exit with the cold target in [t.pc].  One loop over int
+   locals: nothing here allocates. *)
 let exec_block t (blk : Fastpath.block) ~max_n ~horizon ~tgen ~tmark =
   let fp = t.fp in
   let code = blk.Fastpath.b_code in
@@ -1190,25 +1192,18 @@ let exec_block t (blk : Fastpath.block) ~max_n ~horizon ~tgen ~tmark =
   let n = if max_n < len then max_n else len in
   let phys = t.phys and tlb = t.tlb in
   fp.Fastpath.st_entries <- fp.Fastpath.st_entries + 1;
-  let count = ref 0 in
-  (* Instruction-fetch front hits proven by an unchanged TLB
-     generation are tallied here and folded into the TLB statistics in
-     one call at block exit; the counters are unobservable mid-block,
-     so batching them is invisible. *)
+  let i = ref 0 and tg = ref tgen and result = ref blk_running in
   let pending_hits = ref 0 in
-  let result = ref Bend in
   (try
-     let rec go i tg =
-       if i >= n then begin
-         if n < len then result := Bbail
-       end
+     while !result = blk_running do
+       let k = !i in
+       if k >= n then result := if n < len then blk_bail else blk_end
        else if
-         i > 0
-         && ((eff.(i - 1) land 2 <> 0
-             && Phys.page_gen phys blk.Fastpath.b_page <> blk.Fastpath.b_dgen
-             )
+         k > 0
+         && ((eff.(k - 1) land 2 <> 0
+             && Phys.page_gen phys blk.Fastpath.b_page <> blk.Fastpath.b_dgen)
             || t.cycles >= horizon)
-       then result := Bbail
+       then result := blk_bail
        else begin
          (* Marker check for traced runs on a marked page.  Insn 0's
             marker was already checked by the dispatcher (before the
@@ -1216,202 +1211,161 @@ let exec_block t (blk : Fastpath.block) ~max_n ~horizon ~tgen ~tmark =
             through the dispatcher which re-checks, so the check sits
             after the boundary bails to avoid double emission. *)
          (match tmark with
-         | Some tr when i > 0 -> (
+         | Some tr when k > 0 -> (
              match Lz_trace.Trace.marker_at tr t.pc with
              | Some payload -> Lz_trace.Trace.emit tr ~cycles:t.cycles payload
              | None -> ())
          | _ -> ());
          t.insns <- t.insns + 1;
          charge t t.cost.insn_base;
-         incr count;
-         if i = 0 then begin
+         let pc_cur = t.pc in
+         if k = 0 then
            (* The dispatcher already fetched and accounted insn 0. *)
-           let pc_cur = t.pc in
-           exec t code.(0) ~pc_cur ~next:(pc_cur + 4);
-           post 0 pc_cur tg
-         end
-         else if eff.(i - 1) land 1 = 0 then begin
-           (* The previous instruction touched no memory, so the TLB
-              generation still equals [tg] and the front probe would
-              hit — account it without even re-reading the counter. *)
+           exec t code.(0) ~pc_cur ~next:(pc_cur + 4)
+         else if eff.(k - 1) land 1 = 0 || Tlb.gen tlb = !tg then begin
+           (* The TLB generation still equals [tg] — provably when the
+              previous instruction touched no memory, so the counter is
+              not even re-read — and the front probe would hit. *)
            incr pending_hits;
-           let pc_cur = t.pc in
-           exec t code.(i) ~pc_cur ~next:(pc_cur + 4);
-           post i pc_cur tg
+           exec t code.(k) ~pc_cur ~next:(pc_cur + 4)
          end
          else begin
-           let g = Tlb.gen tlb in
-           if g = tg then begin
-             incr pending_hits;
-             let pc_cur = t.pc in
-             exec t code.(i) ~pc_cur ~next:(pc_cur + 4);
-             post i pc_cur tg
-           end
+           (* A data-side walk moved the shared TLB under us: redo the
+              architectural instruction fetch exactly as the per-insn
+              path would (front probe, walk charges, possible fault). *)
+           let pa = fetch_pa t ~pc_cur in
+           tg := Tlb.gen tlb;
+           if pa = ipa.(k) then exec t code.(k) ~pc_cur ~next:(pc_cur + 4)
            else begin
-             (* A data-side walk moved the shared TLB under us: redo
-                the architectural instruction fetch exactly as the
-                per-insn path would (front probe, walk charges,
-                possible fault). *)
-             let pc_cur = t.pc in
-             let pa = fetch_pa t ~pc_cur in
-             let tg' = Tlb.gen tlb in
-             if pa = ipa.(i) then begin
-               exec t code.(i) ~pc_cur ~next:(pc_cur + 4);
-               post i pc_cur tg'
-             end
-             else begin
-               (* The code mapping itself changed mid-block: run this
-                  one instruction through the generic fetch path and
-                  resynchronize via the dispatcher. *)
-               let insn = Fastpath.fetch fp phys pa in
-               exec t insn ~pc_cur ~next:(pc_cur + 4);
-               result := Bbail
-             end
+             (* The code mapping itself changed mid-block: run this one
+                instruction through the generic fetch path and
+                resynchronize via the dispatcher. *)
+             exec t (Fastpath.fetch fp phys pa) ~pc_cur ~next:(pc_cur + 4);
+             result := blk_bail
            end
-         end
+         end;
+         (* Straight instructions and folded branches that went hot
+            continue the trace; a cold folded branch leaves through its
+            side exit. *)
+         if !result = blk_running then
+           match sxs.(k) with
+           | None ->
+               if k = len - 1 && blk.Fastpath.b_term_slot >= 0 then
+                 Fastpath.note_term_outcome fp phys blk
+                   ~taken:(t.pc <> pc_cur + 4);
+               i := k + 1
+           | Some sx ->
+               if t.pc = pc_cur + sx.Fastpath.sx_hot_delta then begin
+                 sx.Fastpath.sx_hot <- sx.Fastpath.sx_hot + 1;
+                 i := k + 1
+               end
+               else begin
+                 Fastpath.note_side_exit fp phys blk sx;
+                 result := k
+               end
        end
-     (* Post-exec continuation: straight instructions and folded
-        branches that went hot continue the trace; a cold folded
-        branch leaves through its side exit. *)
-     and post i pc_cur tg =
-       match sxs.(i) with
-       | None ->
-           if i = len - 1 && blk.Fastpath.b_term_slot >= 0 then
-             Fastpath.note_term_outcome fp phys blk
-               ~taken:(t.pc <> pc_cur + 4);
-           go (i + 1) tg
-       | Some sx ->
-           if t.pc = pc_cur + sx.Fastpath.sx_hot_delta then begin
-             sx.Fastpath.sx_hot <- sx.Fastpath.sx_hot + 1;
-             go (i + 1) tg
-           end
-           else begin
-             Fastpath.note_side_exit fp phys blk sx;
-             result := Bside sx
-           end
-     in
-     go 0 tgen
-   with Exc (cls, ret) ->
-     result :=
-       (match deliver t cls ~ret with Some s -> Bstop s | None -> Bdeliv));
+     done
+   with Exc _ as e ->
+     Tlb.account_front_hits tlb !pending_hits;
+     raise e);
   if !pending_hits > 0 then Tlb.account_front_hits tlb !pending_hits;
-  fp.Fastpath.st_insns <- fp.Fastpath.st_insns + !count;
   !result
 
-(* Where a chained block entry got its chain memo from: the previous
-   block's successor slots, or a folded branch's side exit. *)
-type chain_src =
-  | Cnone
-  | Cblk of Fastpath.block
-  | Csx of Fastpath.side_exit
+(* The dispatcher: [blocks_full] polls for interrupts and enters the
+   block at [t.pc]; [blocks_entry] chains.  Both are top-level and
+   pass their state as arguments, so a dispatch allocates nothing:
+   [src] is the stored [b_self] box of the block this entry chains
+   from ([None] after a full poll) and [sx] the side exit it left
+   through ([blk_end]: it ran through its terminator). *)
+let rec blocks_full t remaining =
+  if remaining <= 0 then Limit
+  else
+    match maybe_irq t with
+    | Some s -> s
+    | None -> blocks_entry t remaining (irq_horizon t) None blk_end
 
-let run_blocks t max_insns =
-  let fp = t.fp in
-  let phys = t.phys in
-  let remaining = ref max_insns in
-  let rec full () =
-    if !remaining <= 0 then Limit
-    else
-      match maybe_irq t with
-      | Some s -> s
-      | None -> entry ~horizon:(irq_horizon t) ~src:Cnone
-  (* Enter the block at [t.pc].  Precondition: either the dispatcher
-     just polled ([Cnone] path via [full]), or the previous block
-     ended in a plain branch — or left through a side exit — with
-     [t.cycles < horizon], in which case the poll would provably
-     return [None].  The instruction fetch is always performed for
-     real — it is the architectural act that accounts TLB statistics
-     and can fault; chaining only elides the block-cache lookup. *)
-  and entry ~horizon ~src =
-    let pc_cur = t.pc in
-    (* Traced runs stay block-aware: one page query decides whether
-       this block needs per-instruction marker checks.  The entry
-       marker fires here, before the (possibly faulting) entry fetch,
-       exactly as [step] checks markers before [step_body]. *)
-    let tmark =
-      match t.tracer with
-      | Some tr when Lz_trace.Trace.page_marked tr pc_cur -> Some tr
-      | _ -> None
-    in
-    (match tmark with
-    | Some tr -> (
-        match Lz_trace.Trace.marker_at tr pc_cur with
-        | Some payload -> Lz_trace.Trace.emit tr ~cycles:t.cycles payload
-        | None -> ())
-    | None -> ());
-    match
-      match fetch_pa t ~pc_cur with
-      | pa -> Ok pa
-      | exception Exc (cls, ret) -> Error (cls, ret)
-    with
-    | Error (cls, ret) ->
-        (* The per-insn path counts the instruction before fetching;
-           replicate that for a faulting boundary fetch. *)
-        t.insns <- t.insns + 1;
-        charge t t.cost.insn_base;
-        decr remaining;
-        (match deliver t cls ~ret with Some s -> s | None -> full ())
-    | Ok pa -> (
-        let blk, cached =
-          match src with
-          | Cblk sb -> (
-              match Fastpath.chain_lookup fp phys sb ~va:pc_cur ~pa with
-              | Some b ->
-                  fp.Fastpath.st_chain_follows <-
-                    fp.Fastpath.st_chain_follows + 1;
-                  (b, true)
-              | None ->
-                  let b, c = Fastpath.block_at_cached fp phys pa in
-                  Fastpath.chain_store sb ~va:pc_cur b;
-                  (b, c))
-          | Csx sx -> (
-              match Fastpath.sx_chain_lookup fp phys sx ~va:pc_cur ~pa with
-              | Some b ->
-                  fp.Fastpath.st_chain_follows <-
-                    fp.Fastpath.st_chain_follows + 1;
-                  (b, true)
-              | None ->
-                  let b, c = Fastpath.block_at_cached fp phys pa in
-                  Fastpath.sx_chain_store sx ~va:pc_cur b;
-                  (b, c))
-          | Cnone -> Fastpath.block_at_cached fp phys pa
-        in
-        if cached then fp.Fastpath.st_hits <- fp.Fastpath.st_hits + 1;
-        let tgen = Tlb.gen t.tlb in
-        let before = t.insns in
-        let r = exec_block t blk ~max_n:!remaining ~horizon ~tgen ~tmark in
-        remaining := !remaining - (t.insns - before);
-        match r with
-        | Bstop s -> s
-        | Bdeliv | Bbail -> full ()
-        | Bside sx ->
-            (* Side exits are pure PC writes: the horizon computed at
-               entry is still a valid lower bound, so chain straight
-               into the cold target (which memoizes its own chain
-               link, making side-exit targets first-class chain
-               candidates). *)
-            if !remaining > 0 && t.cycles < horizon then
-              entry ~horizon ~src:(Csx sx)
-            else full ()
-        | Bend ->
-            if blk.Fastpath.b_chainable && !remaining > 0 && t.cycles < horizon
-            then entry ~horizon ~src:(Cblk blk)
-            else full ())
+(* Enter the block at [t.pc].  Precondition: either the dispatcher
+   just polled ([src = None]), or the previous block ended in a plain
+   branch — or left through a side exit — with [t.cycles < horizon],
+   in which case the poll would provably return [None].  The
+   instruction fetch is always performed for real — it is the
+   architectural act that accounts TLB statistics and can fault;
+   chaining only elides the block-cache lookup. *)
+and blocks_entry t remaining horizon src sx =
+  let fp = t.fp and phys = t.phys in
+  let pc_cur = t.pc in
+  (* Traced runs stay block-aware: one page query decides whether
+     this block needs per-instruction marker checks.  The entry
+     marker fires here, before the (possibly faulting) entry fetch,
+     exactly as [step] checks markers before [step_body]. *)
+  let tmark =
+    match t.tracer with
+    | Some tr as m when Lz_trace.Trace.page_marked tr pc_cur -> m
+    | _ -> None
   in
-  full ()
+  (match tmark with
+  | Some tr -> (
+      match Lz_trace.Trace.marker_at tr pc_cur with
+      | Some payload -> Lz_trace.Trace.emit tr ~cycles:t.cycles payload
+      | None -> ())
+  | None -> ());
+  match fetch_pa t ~pc_cur with
+  | exception Exc (cls, ret) -> (
+      (* The per-insn path counts the instruction before fetching;
+         replicate that for a faulting boundary fetch. *)
+      t.insns <- t.insns + 1;
+      charge t t.cost.insn_base;
+      match deliver t cls ~ret with
+      | Some s -> s
+      | None -> blocks_full t (remaining - 1))
+  | pa -> (
+      let blk =
+        match src with
+        | None -> Fastpath.block_at fp phys pa
+        | Some sb when sx = blk_end ->
+            Fastpath.chain_to fp phys sb ~va:pc_cur ~pa
+        | Some sb -> (
+            match sb.Fastpath.b_sx.(sx) with
+            | Some x -> Fastpath.sx_chain_to fp phys x ~va:pc_cur ~pa
+            | None -> assert false)
+      in
+      let tgen = Tlb.gen t.tlb in
+      let before = t.insns in
+      match exec_block t blk ~max_n:remaining ~horizon ~tgen ~tmark with
+      | exception Exc (cls, ret) -> (
+          let ran = t.insns - before in
+          fp.Fastpath.st_insns <- fp.Fastpath.st_insns + ran;
+          match deliver t cls ~ret with
+          | Some s -> s
+          | None -> blocks_full t (remaining - ran))
+      | r ->
+          let ran = t.insns - before in
+          fp.Fastpath.st_insns <- fp.Fastpath.st_insns + ran;
+          let remaining = remaining - ran in
+          (* Side exits are pure PC writes, and so is a chainable
+             terminator: the horizon computed at entry is still a
+             valid lower bound, so chain straight into the successor
+             (side-exit targets memoize their own chain link, making
+             them first-class chain candidates). *)
+          if
+            r <> blk_bail
+            && (r >= 0 || blk.Fastpath.b_chainable)
+            && remaining > 0 && t.cycles < horizon
+          then blocks_entry t remaining horizon blk.Fastpath.b_self r
+          else blocks_full t remaining)
 
 (* The engine dispatch happens once per [run], not once per
    instruction: tracers are attached between runs (trap servicing
    happens outside [run]), so the untraced block dispatcher — the
    benchmark hot path — carries one tracer null-check per block
    entry and nothing per instruction.  Traced runs are block-aware
-   too: [run_blocks] checks markers at block entry and, on pages
+   too: [blocks_entry] checks markers at block entry and, on pages
    that carry markers, per instruction, keeping the event stream
    byte-identical to the per-insn loop (the three-way trace
    differential enforces this) while retaining most of the block
    speedup. *)
 let run ?(max_insns = 10_000_000) t =
-  if t.fp.Fastpath.enabled && t.fp.Fastpath.blocks then run_blocks t max_insns
+  if t.fp.Fastpath.enabled && t.fp.Fastpath.blocks then blocks_full t max_insns
   else
     match t.tracer with
     | None ->

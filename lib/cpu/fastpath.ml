@@ -63,6 +63,10 @@ and block = {
   mutable b_succ : block option;
   mutable b_succ2_va : int;
   mutable b_succ2 : block option;
+  (* [Some] of this very block, allocated once at build time: chain
+     memos store it and lookups hand it back, so linking and following
+     never box. *)
+  b_self : block option;
 }
 
 (* One decoded physical page: 1024 instruction slots, filled lazily,
@@ -86,14 +90,17 @@ type t = {
      PSTATE.{EL,PAN} changed since it was built. *)
   mutable ctx : Mmu.ctx option;
   mutable ctx_gen : int;
-  (* Decoded-instruction cache keyed by physical page number. *)
-  dcache : (int, dpage) Hashtbl.t;
+  (* Decoded-instruction cache: physical page number -> index into
+     [dpages] (the first [n_dpages] are live). *)
+  dindex : Int_table.t;
+  mutable dpages : dpage array;
+  mutable n_dpages : int;
+  (* 1-entry memo: [dpages.(dlast)] is the page numbered [dlast_page]
+     (initially -1, matching no page). Ints, so the refill on every
+     code-page change — twice per zone-gate transit — is two plain
+     stores. *)
   mutable dlast_page : int;
-  (* Valid iff [dlast_page] matches the probed page (initially -1,
-     matching no page). Non-optional so the 1-entry memo refill is a
-     pair of field writes — a [Some] box here is two minor words per
-     code-page change, paid twice per zone-gate transit. *)
-  mutable dlast : dpage;
+  mutable dlast : int;
   (* Bumped whenever cached blocks are dropped wholesale: a chain link
      into a block from an older epoch is never followed. *)
   mutable epoch : int;
@@ -125,6 +132,9 @@ let empty_dpage () =
     blk = Array.make insns_per_page None;
     bias = Array.make insns_per_page 0 }
 
+(* Filler for the unused tail of [dpages]; never read. *)
+let no_dpage = { dgen = -1; code = [||]; blk = [||]; bias = [||] }
+
 let create ~enabled =
   { enabled;
     blocks = enabled && !default_blocks;
@@ -132,9 +142,11 @@ let create ~enabled =
     dtlb = Tlb.front_create ();
     ctx = None;
     ctx_gen = -1;
-    dcache = Hashtbl.create 64;
+    dindex = Int_table.create 64;
+    dpages = Array.make 64 no_dpage;
+    n_dpages = 0;
     dlast_page = -1;
-    dlast = empty_dpage ();
+    dlast = 0;
     epoch = 0;
     wp_gen = -1;
     wp_armed = false;
@@ -169,21 +181,27 @@ let reset t =
   t.wp_gen <- -1;
   t.wp_armed <- false
 
+let new_dpage t ppage =
+  let i = t.n_dpages in
+  if i = Array.length t.dpages then begin
+    let a = Array.make (2 * i) no_dpage in
+    Array.blit t.dpages 0 a 0 i;
+    t.dpages <- a
+  end;
+  t.dpages.(i) <- empty_dpage ();
+  t.n_dpages <- i + 1;
+  Int_table.replace t.dindex ppage i;
+  i
+
 let dpage_of t phys ppage =
   let dp =
-    if t.dlast_page = ppage then t.dlast
+    if t.dlast_page = ppage then t.dpages.(t.dlast)
     else begin
-      let dp =
-        match Hashtbl.find t.dcache ppage with
-        | dp -> dp
-        | exception Not_found ->
-            let dp = empty_dpage () in
-            Hashtbl.add t.dcache ppage dp;
-            dp
-      in
+      let i = Int_table.find t.dindex ppage in
+      let i = if i >= 0 then i else new_dpage t ppage in
       t.dlast_page <- ppage;
-      t.dlast <- dp;
-      dp
+      t.dlast <- i;
+      t.dpages.(i)
     end
   in
   let g = Phys.page_gen phys (ppage * Phys.page_size) in
@@ -350,7 +368,7 @@ let build_block t phys pa =
         chainable := false;
         stop := true
   done;
-  let b =
+  let rec b =
     { b_pa = pa;
       b_page = page;
       b_dgen = dp.dgen;
@@ -369,29 +387,29 @@ let build_block t phys pa =
       b_succ_va = min_int;
       b_succ = None;
       b_succ2_va = min_int;
-      b_succ2 = None }
+      b_succ2 = None;
+      b_self = Some b }
   in
   t.st_folds <- t.st_folds + !folds;
   if !folds > t.st_depth_max then t.st_depth_max <- !folds;
-  dp.blk.(idx0) <- Some b;
+  dp.blk.(idx0) <- b.b_self;
   b
 
-(* The block starting at physical address [pa], from cache or freshly
-   built, plus whether it was served from cache.  [dpage_of] has
+(* The block starting at physical address [pa], from cache (counted as
+   a hit) or freshly built (counted as a build).  [dpage_of] has
    already dropped stale blocks if the frame's generation moved, so a
    cached block here is valid by construction; the [b_dgen] check is
    defensive. *)
-let block_at_cached t phys pa =
+let block_at t phys pa =
   let dp = dpage_of t phys (pa / Phys.page_size) in
   let idx = (pa land (Phys.page_size - 1)) lsr 2 in
   match dp.blk.(idx) with
   | Some b when b.b_dgen = dp.dgen && b.b_epoch = t.epoch && not b.b_dead ->
-      (b, true)
+      t.st_hits <- t.st_hits + 1;
+      b
   | _ ->
       t.st_builds <- t.st_builds + 1;
-      (build_block t phys pa, false)
-
-let block_at t phys pa = fst (block_at_cached t phys pa)
+      build_block t phys pa
 
 (* Retire one block (bias retraining, never correctness): mark it dead
    so chain memos refuse it and clear its cache slot so the next
@@ -458,10 +476,10 @@ let note_term_outcome t phys b ~taken =
    page severs the link. *)
 
 let target_ok t phys ~pa = function
-  | Some sb
+  | Some sb as r
     when sb.b_epoch = t.epoch && (not sb.b_dead) && sb.b_pa = pa
          && Phys.page_gen phys sb.b_page = sb.b_dgen ->
-      Some sb
+      r
   | _ -> None
 
 let chain_lookup t phys b ~va ~pa =
@@ -474,12 +492,12 @@ let chain_lookup t phys b ~va ~pa =
   else None
 
 let chain_store b ~va succ =
-  if b.b_succ_va = va then b.b_succ <- Some succ
+  if b.b_succ_va = va then b.b_succ <- succ.b_self
   else begin
     b.b_succ2_va <- b.b_succ_va;
     b.b_succ2 <- b.b_succ;
     b.b_succ_va <- va;
-    b.b_succ <- Some succ
+    b.b_succ <- succ.b_self
   end
 
 let sx_chain_lookup t phys sx ~va ~pa =
@@ -487,7 +505,34 @@ let sx_chain_lookup t phys sx ~va ~pa =
 
 let sx_chain_store sx ~va succ =
   sx.sx_chain_va <- va;
-  sx.sx_chain <- Some succ
+  sx.sx_chain <- succ.b_self
+
+(* The dispatcher's chained entries: follow the memo (a chain follow,
+   served from cache) or fall back to [block_at] and memoize the
+   result for next time. *)
+let count_follow t =
+  t.st_chain_follows <- t.st_chain_follows + 1;
+  t.st_hits <- t.st_hits + 1
+
+let chain_to t phys b ~va ~pa =
+  match chain_lookup t phys b ~va ~pa with
+  | Some sb ->
+      count_follow t;
+      sb
+  | None ->
+      let sb = block_at t phys pa in
+      chain_store b ~va sb;
+      sb
+
+let sx_chain_to t phys sx ~va ~pa =
+  match sx_chain_lookup t phys sx ~va ~pa with
+  | Some sb ->
+      count_follow t;
+      sb
+  | None ->
+      let sb = block_at t phys pa in
+      sx_chain_store sx ~va sb;
+      sb
 
 (* ------------------------------------------------------------------ *)
 (* Statistics *)

@@ -60,6 +60,9 @@ and block = {
   mutable b_succ : block option;
   mutable b_succ2_va : int;
   mutable b_succ2 : block option;
+  b_self : block option;
+      (** [Some] of this very block, allocated once at build time;
+          chain memos store it, so linking and following never box. *)
 }
 
 type dpage = {
@@ -78,9 +81,12 @@ type t = {
   dtlb : Lz_mem.Tlb.front;
   mutable ctx : Lz_mem.Mmu.ctx option;
   mutable ctx_gen : int;
-  dcache : (int, dpage) Hashtbl.t;
+  dindex : Lz_mem.Int_table.t;
+      (** decode cache: physical page number -> index into [dpages]. *)
+  mutable dpages : dpage array;  (** the first [n_dpages] are live. *)
+  mutable n_dpages : int;
   mutable dlast_page : int;
-  mutable dlast : dpage;
+  mutable dlast : int;  (** [dpages] index of page [dlast_page]. *)
   mutable epoch : int;
   mutable wp_gen : int;
   mutable wp_armed : bool;
@@ -159,11 +165,8 @@ val block_at : t -> Lz_mem.Phys.t -> int -> block
 (** The superblock starting at physical address [pa], from cache or
     freshly built (decoding forward, folding hot branches, until an
     unfolded branch, an exception-generating/system instruction, the
-    page boundary or {!max_block_insns}). *)
-
-val block_at_cached : t -> Lz_mem.Phys.t -> int -> block * bool
-(** {!block_at} plus whether the block was served from cache — the
-    dispatcher counts cached dispatches from this. *)
+    page boundary or {!max_block_insns}). Counts a cache hit or a
+    build in {!stats}. *)
 
 val kill_block : t -> Lz_mem.Phys.t -> block -> unit
 (** Retire one block (bias retraining): mark it dead and clear its
@@ -191,12 +194,14 @@ val chain_store : block -> va:int -> block -> unit
 (** Memoize [succ] as [block]'s successor for target [va] (keeps the
     two most recent targets: fall-through and taken). *)
 
-val sx_chain_lookup :
-  t -> Lz_mem.Phys.t -> side_exit -> va:int -> pa:int -> block option
-(** The side exit's memoized cold-direction target, validated exactly
-    like {!chain_lookup} targets. *)
+val chain_to : t -> Lz_mem.Phys.t -> block -> va:int -> pa:int -> block
+(** The dispatcher's chained entry after [block] ends: the memoized
+    successor if {!chain_lookup} accepts it (counted as a chain follow
+    and a cache hit), else {!block_at}, memoized for next time. *)
 
-val sx_chain_store : side_exit -> va:int -> block -> unit
+val sx_chain_to : t -> Lz_mem.Phys.t -> side_exit -> va:int -> pa:int -> block
+(** {!chain_to} for the cold direction of a side exit: its memoized
+    target is validated exactly like {!chain_lookup} targets. *)
 
 (** {1 Statistics} *)
 

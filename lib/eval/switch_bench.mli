@@ -54,6 +54,20 @@ type lz_run = {
   preemptions : int;
 }
 
+type mech_or_base = Mech of mechanism | Base_access
+(** [Base_access]: the same program with unprotected accesses and no
+    switch instructions — the loop baseline {!measure} subtracts. *)
+
+val run_lz_full :
+  ?tracer:Lz_trace.Trace.t -> ?fast_paths:bool -> ?preempt:int ->
+  ?pmu:bool -> Lz_cpu.Cost_model.t -> env:env -> mech:mech_or_base ->
+  domains:int -> n:int -> lz_run
+(** One complete Table 5 run under LightZone ([Mech Lz_pan],
+    [Mech Lz_ttbr] or [Base_access]): [n] seeded random switches
+    across [domains] domains, run to the exit [brk]. The machine is
+    returned as it stopped, for inspection. [?pmu] attaches a PMU
+    before the run; the other options are as for {!traced_run}. *)
+
 val prepare :
   ?fast_paths:bool -> ?preempt:int ->
   Lz_cpu.Cost_model.t -> env:env -> domains:int -> n:int -> lz_run

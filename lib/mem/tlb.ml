@@ -9,39 +9,49 @@ type entry = {
    (48-bit VA space, 4 KiB granule) and bits 36.. hold a small dense
    "context id" interned per (vmid, asid) pair — ASID -1 marks a
    global entry (matches any ASID within the VMID). Packing the key
-   into a tagged int makes every probe an allocation-free int-keyed
-   hashtable access instead of hashing a three-field record. *)
+   into a non-negative int lets every probe go through [Int_table]:
+   one multiply-hash and int compares, no allocation. *)
 
 let vpn_bits = 36
 let vpn_mask = (1 lsl vpn_bits) - 1
 
 type t = {
-  (* The table stores preboxed [Some entry] values so a hit returns
-     the stored box itself: the hot fetch/load/store paths probe this
-     table once per access, and wrapping the entry at lookup time
-     would put one minor-heap allocation on every front-cache miss.
-     [None] is never stored — absence is absence of the key. *)
-  table : (int, entry option) Hashtbl.t;  (* packed key -> Some entry *)
-  order : int Queue.t;  (* FIFO of live keys; length = table size *)
   capacity : int;
+  (* FIFO ring of live entries, oldest first: slots [head],
+     [head + 1], ... [head + count - 1] (mod capacity). Each slot holds
+     its packed key and a preboxed [Some entry], so a hit returns the
+     stored box itself and front caches can remember a slot number
+     instead of an [entry option] (int writes, no [caml_modify]). *)
+  keys : int array;
+  boxes : entry option array;
+  mutable head : int;
+  mutable count : int;
+  mutable index : Int_table.t;  (* packed key -> slot *)
   mutable hit_count : int;
   mutable miss_count : int;
   (* Bumped on every mutation that can change a lookup's outcome
-     (insert, evict, flush). Front caches revalidate against it. *)
+     (insert, evict, flush). Front caches revalidate against it, which
+     also keeps their slot numbers meaningful: slots only move or die
+     under a mutation. *)
   mutable gen : int;
   (* (vmid, asid) pair -> dense context id, plus the reverse map so
      flushes can recover the pair from a packed key. *)
-  ctx_ids : (int, int) Hashtbl.t;
+  mutable ctx_ids : Int_table.t;
   mutable ctx_vmid : int array;  (* ctx id -> vmid *)
   mutable ctx_asid : int array;  (* ctx id -> asid *)
   mutable n_ctx : int;
-  (* 1-entry memo of the last (vmid, asid) pair interned, and the
-     matching global (asid = -1) context — the two ids every lookup
-     needs. Hot loops stay in one address space, so this almost
-     always hits without touching [ctx_ids]. *)
+  (* 2-entry MRU memo of interned (vmid, asid) pairs with the matching
+     global (asid = -1) context; [last_*] is the current pair. Two
+     pairs because a LightZone gate alternates between the domain's
+     TTBR0 ASID and the global gate pages reached through TTBR1 (the
+     paper's Section 8.2 global-bit design): a 1-entry memo re-interns
+     on every such alternation. *)
   mutable last_comb : int;
   mutable last_ctx : int;
   mutable last_gctx : int;
+  mutable prev_comb : int;
+  mutable prev_ctx : int;
+  mutable prev_gctx : int;
   (* Optional observability sinks. [pmu] receives refill/walk events
      from the MMU (which owns the walk) and flush events from here;
      [tracer] gets a timestamped event per flush, using its installed
@@ -51,19 +61,26 @@ type t = {
 }
 
 let create ?(capacity = 1024) () =
-  { table = Hashtbl.create capacity;
-    order = Queue.create ();
-    capacity;
+  if capacity < 1 then invalid_arg "Tlb.create: capacity";
+  { capacity;
+    keys = Array.make capacity 0;
+    boxes = Array.make capacity None;
+    head = 0;
+    count = 0;
+    index = Int_table.create capacity;
     hit_count = 0;
     miss_count = 0;
     gen = 0;
-    ctx_ids = Hashtbl.create 16;
+    ctx_ids = Int_table.create 16;
     ctx_vmid = Array.make 16 0;
     ctx_asid = Array.make 16 0;
     n_ctx = 0;
     last_comb = min_int;
     last_ctx = 0;
     last_gctx = 0;
+    prev_comb = min_int;
+    prev_ctx = 0;
+    prev_gctx = 0;
     pmu = None;
     tracer = None }
 
@@ -80,34 +97,42 @@ let note_flush t scope vmid =
   | None -> ()
 
 (* ASIDs are 14-bit TTBR fields (plus -1 for global), so (vmid, asid)
-   combines injectively into one int. *)
+   combines injectively into one non-negative int. *)
 let combine ~vmid ~asid = (vmid lsl 15) lor (asid + 1)
 
 let intern t comb ~vmid ~asid =
-  match Hashtbl.find t.ctx_ids comb with
-  | id -> id
-  | exception Not_found ->
-      let id = t.n_ctx in
-      t.n_ctx <- id + 1;
-      let len = Array.length t.ctx_vmid in
-      if id >= len then begin
-        let v = Array.make (2 * len) 0 and a = Array.make (2 * len) 0 in
-        Array.blit t.ctx_vmid 0 v 0 len;
-        Array.blit t.ctx_asid 0 a 0 len;
-        t.ctx_vmid <- v;
-        t.ctx_asid <- a
-      end;
-      t.ctx_vmid.(id) <- vmid;
-      t.ctx_asid.(id) <- asid;
-      Hashtbl.add t.ctx_ids comb id;
-      id
+  let id = Int_table.find t.ctx_ids comb in
+  if id >= 0 then id
+  else begin
+    let id = t.n_ctx in
+    t.n_ctx <- id + 1;
+    let len = Array.length t.ctx_vmid in
+    if id >= len then begin
+      let v = Array.make (2 * len) 0 and a = Array.make (2 * len) 0 in
+      Array.blit t.ctx_vmid 0 v 0 len;
+      Array.blit t.ctx_asid 0 a 0 len;
+      t.ctx_vmid <- v;
+      t.ctx_asid <- a
+    end;
+    t.ctx_vmid.(id) <- vmid;
+    t.ctx_asid.(id) <- asid;
+    Int_table.replace t.ctx_ids comb id;
+    id
+  end
 
 (* Set [last_ctx]/[last_gctx] for (vmid, asid), via the memo. *)
 let set_ctx_pair t ~vmid ~asid =
   let comb = combine ~vmid ~asid in
   if comb <> t.last_comb then begin
-    let c = intern t comb ~vmid ~asid in
-    let g = intern t (combine ~vmid ~asid:(-1)) ~vmid ~asid:(-1) in
+    let memo = comb = t.prev_comb in
+    let c = if memo then t.prev_ctx else intern t comb ~vmid ~asid in
+    let g =
+      if memo then t.prev_gctx
+      else intern t (combine ~vmid ~asid:(-1)) ~vmid ~asid:(-1)
+    in
+    t.prev_comb <- t.last_comb;
+    t.prev_ctx <- t.last_ctx;
+    t.prev_gctx <- t.last_gctx;
     t.last_comb <- comb;
     t.last_ctx <- c;
     t.last_gctx <- g
@@ -118,188 +143,204 @@ let pack ~ctx ~vpage = (ctx lsl vpn_bits) lor ((vpage lsr 12) land vpn_mask)
 let key_ctx k = k lsr vpn_bits
 let key_vpage k = (k land vpn_mask) lsl 12
 
-(* Entries for 2 MiB blocks are stored under their 2 MiB-aligned vpage;
-   lookup probes the 4 KiB page first, then the 2 MiB page. *)
-(* Top-level, not a local closure: [lookup_keyed] sits on the
-   per-instruction fetch path right after an address-space switch
-   (the front caches only ever hold hits for the current and previous
-   page, so the first instruction fetched under a fresh ASID always
-   lands here), and a closure captured per call is a minor-heap
-   allocation per zone transit. *)
-let probe_key t key =
-  (* Returns the stored box — no [Some] construction on a hit. *)
-  match Hashtbl.find t.table key with
-  | r -> r
-  | exception Not_found -> None
+let page_bytes_at t s =
+  match t.boxes.(s) with Some e -> e.page_bytes | None -> 0
 
-let lookup_keyed t ~vmid ~asid ~va =
+(* The slot a full lookup hits, or -1. Entries for 2 MiB blocks are
+   stored under their 2 MiB-aligned vpage: the 4 KiB page is probed
+   first (own context, then global), then the 2 MiB page. Straight-line
+   and closure-free: the first fetch under a freshly installed ASID
+   always lands here, once per zone transit. *)
+let lookup_slot t ~vmid ~asid ~va =
   set_ctx_pair t ~vmid ~asid;
   let ctx = t.last_ctx and gctx = t.last_gctx in
   let vp4 = Lz_arm.Bits.align_down va 4096 in
-  let r4 =
-    match probe_key t (pack ~ctx ~vpage:vp4) with
-    | Some _ as r -> r
-    | None -> probe_key t (pack ~ctx:gctx ~vpage:vp4)
+  let s = Int_table.find t.index (pack ~ctx ~vpage:vp4) in
+  let s =
+    if s >= 0 then s else Int_table.find t.index (pack ~ctx:gctx ~vpage:vp4)
   in
-  match r4 with
-  | Some _ -> r4
-  | None -> (
-      let vp2m = Lz_arm.Bits.align_down va (2 * 1024 * 1024) in
-      let r2m =
-        match probe_key t (pack ~ctx ~vpage:vp2m) with
-        | Some _ as r -> r
-        | None -> probe_key t (pack ~ctx:gctx ~vpage:vp2m)
-      in
-      match r2m with
-      | Some e when e.page_bytes > 4096 -> r2m
-      | _ -> None)
+  if s >= 0 then s
+  else
+    let vp2m = Lz_arm.Bits.align_down va (2 * 1024 * 1024) in
+    let s = Int_table.find t.index (pack ~ctx ~vpage:vp2m) in
+    let s =
+      if s >= 0 then s else Int_table.find t.index (pack ~ctx:gctx ~vpage:vp2m)
+    in
+    if s >= 0 && page_bytes_at t s > 4096 then s else -1
+
+(* Count one lookup outcome and return the slot's stored box. *)
+let account_slot t s =
+  if s >= 0 then begin
+    t.hit_count <- t.hit_count + 1;
+    t.boxes.(s)
+  end
+  else begin
+    t.miss_count <- t.miss_count + 1;
+    None
+  end
 
 (* Front caches hold only *hits*: a valid front entry means "a full
    lookup of this exact (vmid, asid, 4 KiB page) probe, against this
-   table generation, returned this entry". Misses are never cached,
-   so a front miss simply delegates to the full lookup — each probe
-   is accounted exactly once either way.
+   table generation, hit this slot". Misses are never cached, so a
+   front miss simply delegates to the full lookup — each probe is
+   accounted exactly once either way.
 
    Two MRU-ordered slots, not one: copy-style loops alternate every
    access between a source and a destination page, and a 1-entry
    front thrashes to a 0% hit rate on exactly those (the nginx
-   microbench pattern). *)
+   microbench pattern). All fields are ints, so fills and promotions
+   are plain stores. *)
 type front = {
   mutable f_key : int;
   mutable f_gen : int;
-  mutable f_entry : entry option;  (* Some iff valid *)
+  mutable f_slot : int;
   mutable f2_key : int;
   mutable f2_gen : int;
-  mutable f2_entry : entry option;
+  mutable f2_slot : int;
 }
 
 let front_create () =
   { f_key = min_int;
     f_gen = -1;
-    f_entry = None;
+    f_slot = -1;
     f2_key = min_int;
     f2_gen = -1;
-    f2_entry = None }
+    f2_slot = -1 }
 
 let front_reset fr =
   fr.f_key <- min_int;
   fr.f_gen <- -1;
-  fr.f_entry <- None;
+  fr.f_slot <- -1;
   fr.f2_key <- min_int;
   fr.f2_gen <- -1;
-  fr.f2_entry <- None
-
-let account t = function
-  | Some _ as r ->
-      t.hit_count <- t.hit_count + 1;
-      r
-  | None ->
-      t.miss_count <- t.miss_count + 1;
-      None
+  fr.f2_slot <- -1
 
 (* The block execution engine proves (via the generation counter, or
    statically when no memory traffic intervened) that front probes it
-   skips would have hit, and accounts them in one batch at block exit
-   instead of re-running the probes. *)
+   skips would have hit, and accounts them instead of re-running the
+   probes. *)
 let account_front_hits t n = t.hit_count <- t.hit_count + n
 
 let front_promote fr =
-  let k = fr.f_key and g = fr.f_gen and e = fr.f_entry in
+  let k = fr.f_key and g = fr.f_gen and s = fr.f_slot in
   fr.f_key <- fr.f2_key;
   fr.f_gen <- fr.f2_gen;
-  fr.f_entry <- fr.f2_entry;
+  fr.f_slot <- fr.f2_slot;
   fr.f2_key <- k;
   fr.f2_gen <- g;
-  fr.f2_entry <- e
+  fr.f2_slot <- s
 
-let front_probe t fr ~vmid ~asid ~va =
+let front_key t ~vmid ~asid ~va =
   set_ctx_pair t ~vmid ~asid;
-  let key = pack ~ctx:t.last_ctx ~vpage:(Lz_arm.Bits.align_down va 4096) in
-  if fr.f_gen = t.gen && fr.f_key = key then account t fr.f_entry
+  pack ~ctx:t.last_ctx ~vpage:(Lz_arm.Bits.align_down va 4096)
+
+(* The slot a valid front entry holds for [key] (promoted to MRU), or
+   -1. An invalid entry's generation is -1, which never matches. *)
+let front_slot t fr key =
+  if fr.f_gen = t.gen && fr.f_key = key then fr.f_slot
   else if fr.f2_gen = t.gen && fr.f2_key = key then begin
     front_promote fr;
-    account t fr.f_entry
+    fr.f_slot
   end
-  else None
+  else -1
 
-let fill_front t fr ~vmid ~asid ~va r =
-  match r with
-  | Some _ ->
-      set_ctx_pair t ~vmid ~asid;
+let front_probe t fr ~vmid ~asid ~va =
+  let s = front_slot t fr (front_key t ~vmid ~asid ~va) in
+  if s >= 0 then account_slot t s else None
+
+(* Non-optional, unlike [lookup ?front]: an optional argument boxes
+   the front in a [Some] at every call site, two minor words per
+   front-missing probe on the core's per-access paths. *)
+let lookup_front t fr ~vmid ~asid ~va =
+  let key = front_key t ~vmid ~asid ~va in
+  let s = front_slot t fr key in
+  if s >= 0 then account_slot t s
+  else begin
+    let s = lookup_slot t ~vmid ~asid ~va in
+    if s >= 0 then begin
       (* New fill becomes MRU; the old MRU slides to the second slot. *)
       front_promote fr;
-      fr.f_key <- pack ~ctx:t.last_ctx ~vpage:(Lz_arm.Bits.align_down va 4096);
+      fr.f_key <- key;
       fr.f_gen <- t.gen;
-      fr.f_entry <- r
-  | None ->
+      fr.f_slot <- s
+    end
+    else begin
       (* A miss invalidates only the would-be MRU slot's trust in this
          key; keep the other slot — it covers a different page. *)
       fr.f_key <- min_int;
       fr.f_gen <- -1;
-      fr.f_entry <- None
-
-(* Non-optional variant for the core's per-access fast paths: passing
-   the front cache as [?front] boxes it in a [Some] at every call
-   site, which is two minor words per front-missing probe — the
-   switch path's dominant allocation once the probes themselves are
-   allocation-free. *)
-let lookup_front t fr ~vmid ~asid ~va =
-  match front_probe t fr ~vmid ~asid ~va with
-  | Some _ as r -> r
-  | None ->
-      let r = lookup_keyed t ~vmid ~asid ~va in
-      fill_front t fr ~vmid ~asid ~va r;
-      account t r
+      fr.f_slot <- -1
+    end;
+    account_slot t s
+  end
 
 let lookup ?front t ~vmid ~asid ~va =
   match front with
-  | None -> account t (lookup_keyed t ~vmid ~asid ~va)
+  | None -> account_slot t (lookup_slot t ~vmid ~asid ~va)
   | Some fr -> lookup_front t fr ~vmid ~asid ~va
 
-let evict_one t =
-  match Queue.take_opt t.order with
-  | Some k ->
-      Hashtbl.remove t.table k;
-      t.gen <- t.gen + 1
-  | None -> ()
+let slot_at t i =
+  let s = t.head + i in
+  if s >= t.capacity then s - t.capacity else s
 
-(* Insert dedupes: a key already present only has its entry replaced —
-   the FIFO queue is untouched, so [Queue.length t.order] always
-   equals [Hashtbl.length t.table] and eviction never pops a stale
-   key while the table sits over capacity. *)
+(* Insert dedupes: a key already present only has its entry replaced
+   in its slot — the FIFO order is untouched. A new key takes the
+   ring's tail slot, evicting the oldest entry when full (the evicted
+   head slot is then exactly the tail slot). *)
 let insert t ~vmid ~asid ~va ~global entry =
   let vpage = Lz_arm.Bits.align_down va entry.page_bytes in
   set_ctx_pair t ~vmid ~asid;
   let ctx = if global then t.last_gctx else t.last_ctx in
   let key = pack ~ctx ~vpage in
-  if not (Hashtbl.mem t.table key) then begin
-    if Hashtbl.length t.table >= t.capacity then evict_one t;
-    Queue.add key t.order
+  let s = Int_table.find t.index key in
+  if s >= 0 then t.boxes.(s) <- Some entry
+  else begin
+    if t.count >= t.capacity then begin
+      Int_table.remove t.index t.keys.(t.head);
+      t.head <- slot_at t 1;
+      t.count <- t.count - 1;
+      t.gen <- t.gen + 1
+    end;
+    let s = slot_at t t.count in
+    t.keys.(s) <- key;
+    t.boxes.(s) <- Some entry;
+    t.count <- t.count + 1;
+    Int_table.replace t.index key s
   end;
-  Hashtbl.replace t.table key (Some entry);
   t.gen <- t.gen + 1
 
-(* Rebuild the FIFO from the surviving keys, preserving their relative
-   age (the old [Hashtbl.iter] rebuild randomized it). *)
-let prune_order t =
-  let keep = Queue.create () in
-  Queue.iter (fun k -> if Hashtbl.mem t.table k then Queue.add k keep) t.order;
-  Queue.clear t.order;
-  Queue.transfer keep t.order
+(* Drop every entry whose key satisfies [pred], compacting the
+   survivors toward the head in FIFO order (each write lands on a slot
+   already read), so eviction order is unaffected by flushes. *)
+let remove_if t pred =
+  let kept = ref 0 in
+  for i = 0 to t.count - 1 do
+    let s = slot_at t i in
+    let k = t.keys.(s) in
+    if pred k then Int_table.remove t.index k
+    else begin
+      let d = slot_at t !kept in
+      if d <> s then begin
+        t.keys.(d) <- k;
+        t.boxes.(d) <- t.boxes.(s);
+        Int_table.replace t.index k d
+      end;
+      incr kept
+    end
+  done;
+  for i = !kept to t.count - 1 do
+    t.boxes.(slot_at t i) <- None
+  done;
+  t.count <- !kept;
+  t.gen <- t.gen + 1
 
 let flush_all t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
+  Int_table.clear t.index;
+  Array.fill t.boxes 0 t.capacity None;
+  t.head <- 0;
+  t.count <- 0;
   t.gen <- t.gen + 1;
   note_flush t Lz_trace.Trace.Flush_all (-1)
-
-let remove_if t pred =
-  let doomed =
-    Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) t.table []
-  in
-  List.iter (Hashtbl.remove t.table) doomed;
-  prune_order t;
-  t.gen <- t.gen + 1
 
 let vmid_of_key t k = t.ctx_vmid.(key_ctx k)
 let asid_of_key t k = t.ctx_asid.(key_ctx k)
@@ -329,53 +370,65 @@ let reset_stats t =
   t.hit_count <- 0;
   t.miss_count <- 0
 
-let size t = Hashtbl.length t.table
+let size t = Int_table.length t.index
 
-let fifo_length t = Queue.length t.order
+let fifo_length t = t.count
+
+let oldest t =
+  if t.count = 0 then None
+  else
+    let k = t.keys.(t.head) in
+    Some (vmid_of_key t k, asid_of_key t k, key_vpage k)
 
 let gen t = t.gen
 let capacity t = t.capacity
 
-(* Whole-TLB capture for machine snapshots: entries (immutable, so
-   shared), FIFO order, hit/miss counters and the (vmid, asid) context
-   interning. The generation counter is *not* restored — it is bumped
-   forward instead, so front caches and block-engine proofs anchored
-   on a generation from the abandoned timeline can never revalidate
-   against a same-numbered generation in the new one. Fronts cache
-   hits only and every probe is accounted exactly once either way, so
-   the bump is invisible to hit/miss statistics. *)
+(* Whole-TLB capture for machine snapshots: the ring (entries are
+   immutable, so boxes are shared), its index, hit/miss counters and
+   the (vmid, asid) context interning. The generation counter is *not*
+   restored — it is bumped forward instead, so front caches and
+   block-engine proofs anchored on a generation from the abandoned
+   timeline can never revalidate against a same-numbered generation in
+   the new one. Fronts cache hits only and every probe is accounted
+   exactly once either way, so the bump is invisible to hit/miss
+   statistics. *)
 
 type state = {
-  st_table : (int, entry option) Hashtbl.t;
-  st_order : int Queue.t;
+  st_keys : int array;
+  st_boxes : entry option array;
+  st_head : int;
+  st_count : int;
+  st_index : Int_table.t;
   st_hits : int;
   st_misses : int;
-  st_ctx_ids : (int, int) Hashtbl.t;
-  st_ctx_vmid : int array;
+  st_ctx_vmid : int array;  (* exactly the interned ids *)
   st_ctx_asid : int array;
-  st_n_ctx : int;
 }
 
 let capture t =
-  { st_table = Hashtbl.copy t.table;
-    st_order = Queue.copy t.order;
+  { st_keys = Array.copy t.keys;
+    st_boxes = Array.copy t.boxes;
+    st_head = t.head;
+    st_count = t.count;
+    st_index = Int_table.copy t.index;
     st_hits = t.hit_count;
     st_misses = t.miss_count;
-    st_ctx_ids = Hashtbl.copy t.ctx_ids;
-    st_ctx_vmid = Array.copy t.ctx_vmid;
-    st_ctx_asid = Array.copy t.ctx_asid;
-    st_n_ctx = t.n_ctx }
+    st_ctx_vmid = Array.sub t.ctx_vmid 0 t.n_ctx;
+    st_ctx_asid = Array.sub t.ctx_asid 0 t.n_ctx }
 
 (* [retag (old_vmid, new_vmid)] rewrites context tags while restoring:
-   entries of [old_vmid] come back under [new_vmid]. Packed table keys
-   embed dense context ids, not VMIDs, so retagging touches only the
+   entries of [old_vmid] come back under [new_vmid]. Packed keys embed
+   dense context ids, not VMIDs, so retagging touches only the
    interning maps — a forked machine adopts the warm image's TLB under
    its own VMID without rebuilding a single entry. *)
 let restore ?retag t s =
-  Hashtbl.reset t.table;
-  Hashtbl.iter (fun k e -> Hashtbl.replace t.table k e) s.st_table;
-  Queue.clear t.order;
-  Queue.iter (fun k -> Queue.add k t.order) s.st_order;
+  if Array.length s.st_keys <> t.capacity then
+    invalid_arg "Tlb.restore: capacity mismatch";
+  Array.blit s.st_keys 0 t.keys 0 t.capacity;
+  Array.blit s.st_boxes 0 t.boxes 0 t.capacity;
+  t.head <- s.st_head;
+  t.count <- s.st_count;
+  t.index <- Int_table.copy s.st_index;
   t.hit_count <- s.st_hits;
   t.miss_count <- s.st_misses;
   let map_vmid =
@@ -384,14 +437,17 @@ let restore ?retag t s =
         fun v -> if v = old_vmid then new_vmid else v
     | None -> fun v -> v
   in
-  Hashtbl.reset t.ctx_ids;
-  Hashtbl.iter
-    (fun comb id ->
-      let vmid = map_vmid (comb lsr 15) and asid_p1 = comb land 0x7FFF in
-      Hashtbl.replace t.ctx_ids ((vmid lsl 15) lor asid_p1) id)
-    s.st_ctx_ids;
-  t.ctx_vmid <- Array.map map_vmid s.st_ctx_vmid;
-  t.ctx_asid <- Array.copy s.st_ctx_asid;
-  t.n_ctx <- s.st_n_ctx;
+  let n = Array.length s.st_ctx_vmid in
+  t.ctx_vmid <- Array.make (max 16 n) 0;
+  t.ctx_asid <- Array.make (max 16 n) 0;
+  t.ctx_ids <- Int_table.create n;
+  for id = 0 to n - 1 do
+    let vmid = map_vmid s.st_ctx_vmid.(id) and asid = s.st_ctx_asid.(id) in
+    t.ctx_vmid.(id) <- vmid;
+    t.ctx_asid.(id) <- asid;
+    Int_table.replace t.ctx_ids (combine ~vmid ~asid) id
+  done;
+  t.n_ctx <- n;
   t.last_comb <- min_int;
+  t.prev_comb <- min_int;
   t.gen <- t.gen + 1

@@ -10,10 +10,14 @@
     hits and misses; the cycle model charges a page-walk cost per
     miss.
 
-    Internally entries are stored under packed tagged-int keys — the
-    virtual page number in the low 36 bits (48-bit VA space) and a
-    dense interned (VMID, ASID) context id above — so every probe is
-    an allocation-free int-keyed hashtable access. *)
+    Internally entries live in a fixed-capacity FIFO ring (slot ->
+    packed key and preboxed [Some entry]) indexed by an open-addressed
+    {!Int_table} (packed key -> slot). A packed key is the virtual
+    page number in the low 36 bits (48-bit VA space) and a dense
+    interned (VMID, ASID) context id above. Probes, hits, front-cache
+    fills and inserts allocate nothing beyond the inserted entry's
+    box and never go through polymorphic hashing or comparison;
+    flushes compact the ring in FIFO order. *)
 
 type t
 
@@ -25,7 +29,7 @@ type entry = {
 }
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity 1024 combined entries. *)
+(** Default capacity 1024 combined entries; at least 1. *)
 
 type front
 (** A 2-entry MRU front cache (micro-TLB) holding the outcomes of the
@@ -33,10 +37,11 @@ type front
     revalidated against {!gen}. Two slots, not one, so copy loops that
     alternate between a source and a destination page still hit. A
     core keeps one front for instruction fetches and one for data
-    accesses; hits bypass every hashtable probe while charging the
-    main TLB's hit/miss counters exactly as a full lookup would (the
-    cached outcome is only reused while the table is untouched, so
-    the accounting cannot diverge). *)
+    accesses; hits bypass every index probe while charging the main
+    TLB's hit/miss counters exactly as a full lookup would (the cached
+    outcome is only reused while the table is untouched, so the
+    accounting cannot diverge). A front remembers ring slot numbers,
+    so filling and promoting it are int writes. *)
 
 val front_create : unit -> front
 val front_reset : front -> unit
@@ -90,9 +95,13 @@ val reset_stats : t -> unit
 val size : t -> int
 
 val fifo_length : t -> int
-(** Length of the internal FIFO replacement queue. Always equals
-    {!size} — inserting an existing key must not grow the queue
+(** Length of the internal FIFO replacement ring. Always equals
+    {!size} — inserting an existing key must not grow the ring
     (regression guard for the capacity-drift bug). *)
+
+val oldest : t -> (int * int * int) option
+(** [(vmid, asid, vpage)] of the entry the next eviction removes —
+    the oldest live entry; [asid] is [-1] for a global entry. *)
 
 (** {1 Observability}
 
@@ -113,8 +122,8 @@ val set_tracer : t -> Lz_trace.Trace.t option -> unit
 (** {1 Snapshot} *)
 
 type state
-(** Captured TLB image: entries, FIFO order, hit/miss counters,
-    context interning. *)
+(** Captured TLB image: the FIFO ring and its index, hit/miss
+    counters, context interning. *)
 
 val capture : t -> state
 
@@ -125,4 +134,5 @@ val restore : ?retag:int * int -> t -> state -> unit
     hit/miss accounting. PMU/tracer attachments are untouched.
     [?retag:(old_vmid, new_vmid)] rewrites context tags on the way
     in — machine forking: the fork adopts the warm image's TLB under
-    its own VMID (entries of other VMIDs keep theirs). *)
+    its own VMID (entries of other VMIDs keep theirs). The image must
+    come from a TLB of the same capacity. *)

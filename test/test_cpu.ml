@@ -502,18 +502,17 @@ let test_flush_decode_drops_blocks () =
      the chain memos refuse them all; the per-page decode cache and
      bias profiles survive (they revalidate against frame write
      generations instead). *)
-  Hashtbl.iter
-    (fun _ (dp : Fastpath.dpage) ->
-      Array.iter
-        (function
-          | Some b ->
-              check_bool "stale block refused" true
-                (b.Fastpath.b_epoch < fp.Fastpath.epoch)
-          | None -> ())
-        dp.Fastpath.blk)
-    fp.Fastpath.dcache;
+  for i = 0 to fp.Fastpath.n_dpages - 1 do
+    Array.iter
+      (function
+        | Some b ->
+            check_bool "stale block refused" true
+              (b.Fastpath.b_epoch < fp.Fastpath.epoch)
+        | None -> ())
+      fp.Fastpath.dpages.(i).Fastpath.blk
+  done;
   check_bool "decode cache survives the flush" true
-    (Hashtbl.length fp.Fastpath.dcache > 0);
+    (fp.Fastpath.n_dpages > 0);
   let epoch1 = fp.Fastpath.epoch in
   Fastpath.reset fp;
   check_bool "reset also bumps the epoch" true (fp.Fastpath.epoch > epoch1)

@@ -34,6 +34,29 @@ let test_table4_calibration () =
         rows Lz_eval.Trap_bench.paper)
     Lz_cpu.Cost_model.all
 
+(* Golden simulated outputs: the tolerance checks above would let
+   the reproduction's figures drift by a few percent unnoticed, so
+   one Table 5 run is pinned exactly. A change to these values is a
+   change to the cost model or the simulated semantics and must be
+   deliberate. *)
+let test_table5_golden () =
+  let r =
+    Lz_eval.Switch_bench.run_lz_full Lz_cpu.Cost_model.cortex_a55
+      ~env:Lz_eval.Switch_bench.Host
+      ~mech:(Lz_eval.Switch_bench.Mech Lz_eval.Switch_bench.Lz_ttbr)
+      ~domains:128 ~n:1000
+  in
+  let core = r.Lz_eval.Switch_bench.t.Lightzone.Kmod.core in
+  let check_int = Alcotest.(check int) in
+  check_int "cycles" 264352 core.Lz_cpu.Core.cycles;
+  check_int "insns" 46291 core.Lz_cpu.Core.insns;
+  check_int "tlb hits" 52984 (Lz_mem.Tlb.hits core.Lz_cpu.Core.tlb);
+  check_int "tlb misses" 438 (Lz_mem.Tlb.misses core.Lz_cpu.Core.tlb);
+  check_int "kmod traps" 141 r.Lz_eval.Switch_bench.t.Lightzone.Kmod.traps;
+  Alcotest.(check string)
+    "zone digest" "26ea2a392237faf10fb6e3370d23b592"
+    (Lz_eval.Switch_bench.zone_digest r.Lz_eval.Switch_bench.t)
+
 let test_lz_trap_beats_host_on_carmel () =
   (* The paper's headline: the Section 5.2 optimization makes a
      LightZone syscall cheaper than a host syscall on Carmel. *)
@@ -152,7 +175,9 @@ let () =
           Alcotest.test_case "carmel headline" `Quick
             test_lz_trap_beats_host_on_carmel ] );
       ( "table5",
-        [ Alcotest.test_case "orderings" `Slow test_table5_orderings;
+        [ Alcotest.test_case "golden 128-domain run" `Quick
+            test_table5_golden;
+          Alcotest.test_case "orderings" `Slow test_table5_orderings;
           Alcotest.test_case "scales past 16" `Slow
             test_table5_scales_past_16 ] );
       ( "figures",

@@ -623,7 +623,14 @@ let test_asid_rollover_preserves_live () =
   Api.load_and_register t b ~va:code_va;
   expect_exit 0 (Api.run t);
   check_int "domain data readable after rollovers" 321
-    (Lz_cpu.Core.reg t.Kmod.core 2)
+    (Lz_cpu.Core.reg t.Kmod.core 2);
+  (* Golden simulated outputs of the whole churn: rollover flushes
+     and recycled ASIDs must not move a cycle or a TLB count. *)
+  let core = t.Kmod.core in
+  check_int "cycles" 2998 core.Lz_cpu.Core.cycles;
+  check_int "insns" 43 core.Lz_cpu.Core.insns;
+  check_int "tlb hits" 43 (Lz_mem.Tlb.hits core.Lz_cpu.Core.tlb);
+  check_int "tlb misses" 8 (Lz_mem.Tlb.misses core.Lz_cpu.Core.tlb)
 
 (* A freed table's gate slot is zeroed and its id reissued to the next
    tenant: a switch through the re-pointed gate must land in the new

@@ -7,7 +7,8 @@
    - stage-1 trees keep unrelated mappings intact under random
      map/unmap interleavings;
    - the TLB is a transparent cache: with and without it, translation
-     agrees;
+     agrees; and it matches a FIFO reference model operation by
+     operation;
    - AES encrypt/decrypt are inverses for random keys and plaintexts;
    - a LightZone process with N random domains allows exactly the
      accesses its protection registry says it should. *)
@@ -199,6 +200,319 @@ let prop_tlb_transparent =
           | Error _, Error _ -> true
           | _ -> false)
         (vps @ vps))
+
+(* ------------------------------------------------------------------ *)
+(* Int_table against Hashtbl
+
+   The TLB index, its context interning and the decode cache all rest
+   on [Int_table]'s linear probing and backward-shift deletion. Keys
+   come from a small universe so that probe runs collide, wrap around
+   the bucket array and force growth; after every step each key's
+   binding and the length must match a [Hashtbl]. *)
+
+type itab_op =
+  | I_replace of int * int
+  | I_remove of int
+  | I_clear
+  | I_copy  (** continue on a copy; the original is cleared *)
+
+let prop_int_table_model =
+  let key =
+    QCheck2.Gen.(
+      oneof
+        [ int_bound 40; map (fun i -> (1 lsl 40) + (i * 4096)) (int_bound 20) ])
+  in
+  QCheck2.Test.make ~name:"int_table: agrees with Hashtbl" ~count:500
+    QCheck2.Gen.(
+      list_size (int_range 1 120)
+        (frequency
+           [ (6, map2 (fun k v -> I_replace (k, v)) key (int_bound 1000));
+             (3, map (fun k -> I_remove k) key);
+             (1, return I_clear);
+             (1, return I_copy) ]))
+    (fun ops ->
+      let t = ref (Int_table.create 2) and m = Hashtbl.create 16 in
+      let universe =
+        List.init 41 Fun.id @ List.init 21 (fun i -> (1 lsl 40) + (i * 4096))
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | I_replace (k, v) ->
+              Int_table.replace !t k v;
+              Hashtbl.replace m k v
+          | I_remove k ->
+              Int_table.remove !t k;
+              Hashtbl.remove m k
+          | I_clear ->
+              Int_table.clear !t;
+              Hashtbl.reset m
+          | I_copy ->
+              let c = Int_table.copy !t in
+              Int_table.clear !t;
+              t := c);
+          Int_table.length !t = Hashtbl.length m
+          && List.for_all
+               (fun k ->
+                 Int_table.find !t k
+                 = Option.value (Hashtbl.find_opt m k) ~default:(-1))
+               universe)
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* TLB against a reference model
+
+   All three execution engines share one [Tlb], so the engine
+   differential cannot see a change in TLB semantics. This property
+   runs random operation sequences against a naive FIFO association
+   list — keyed by (vmid, asid or -1 for global, page) exactly as the
+   TLB documents its matching — and compares every lookup result, the
+   hit/miss counters, the size, the FIFO length and the key the next
+   eviction removes after every step. *)
+
+type tlb_op =
+  | T_insert of { vmid : int; asid : int; va : int; global : bool; big : bool }
+  | T_lookup of { vmid : int; asid : int; va : int }
+  | T_probe of { vmid : int; asid : int; va : int; front : int }
+      (** the core's access path: [front_probe], then [lookup_front] *)
+  | T_flush_all
+  | T_flush_vmid of int
+  | T_flush_asid of { vmid : int; asid : int }
+  | T_flush_va of { vmid : int; va : int }
+  | T_capture
+  | T_restore of { retag : int option; fresh : bool }
+
+let pp_tlb_op = function
+  | T_insert { vmid; asid; va; global; big } ->
+      Printf.sprintf "insert v%d a%d %#x%s%s" vmid asid va
+        (if global then " global" else "")
+        (if big then " 2M" else "")
+  | T_lookup { vmid; asid; va } ->
+      Printf.sprintf "lookup v%d a%d %#x" vmid asid va
+  | T_probe { vmid; asid; va; front } ->
+      Printf.sprintf "probe[%d] v%d a%d %#x" front vmid asid va
+  | T_flush_all -> "flush_all"
+  | T_flush_vmid v -> Printf.sprintf "flush_vmid v%d" v
+  | T_flush_asid { vmid; asid } -> Printf.sprintf "flush_asid v%d a%d" vmid asid
+  | T_flush_va { vmid; va } -> Printf.sprintf "flush_va v%d %#x" vmid va
+  | T_capture -> "capture"
+  | T_restore { retag; fresh } ->
+      Printf.sprintf "restore%s%s"
+        (match retag with Some v -> Printf.sprintf " retag v%d" v | None -> "")
+        (if fresh then " fresh" else "")
+
+let m2 = 2 * 1024 * 1024
+
+let tlb_ops_gen =
+  let open QCheck2.Gen in
+  let vmid = int_bound 3 and asid = int_bound 3 in
+  (* A few pages, including the first 4 KiB page of each 2 MiB block,
+     where a 4 KiB entry and a 2 MiB entry share a page number. *)
+  let va =
+    map2
+      (fun p off -> (p * 4096) + off)
+      (oneofl [ 0; 1; 2; 3; 511; 512; 513; 1024 ])
+      (int_bound 4095)
+  in
+  pair (int_range 1 6)
+    (list_size (int_range 1 80)
+       (frequency
+          [ ( 6,
+              map4
+                (fun vmid asid va (global, big) ->
+                  T_insert { vmid; asid; va; global; big })
+                vmid asid va
+                (pair bool (frequencyl [ (4, false); (1, true) ])) );
+            ( 3,
+              map3
+                (fun vmid asid va -> T_lookup { vmid; asid; va })
+                vmid asid va );
+            ( 4,
+              map4
+                (fun vmid asid va front -> T_probe { vmid; asid; va; front })
+                vmid asid va (int_bound 1) );
+            (1, return T_flush_all);
+            (1, map (fun v -> T_flush_vmid v) vmid);
+            (1, map2 (fun vmid asid -> T_flush_asid { vmid; asid }) vmid asid);
+            (1, map2 (fun vmid va -> T_flush_va { vmid; va }) vmid va);
+            (1, return T_capture);
+            ( 2,
+              map2
+                (fun retag fresh -> T_restore { retag; fresh })
+                (option vmid) bool ) ]))
+
+(* The model: live entries oldest first, the counters, and the VMIDs
+   whose contexts the TLB has interned (any lookup or insert interns
+   its VMID; a retag must target a VMID the image never interned, as
+   forking does, or two contexts would claim one (vmid, asid)). *)
+type tlb_model = {
+  cap : int;
+  mutable fifo : ((int * int * int) * Tlb.entry) list;
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable interned : int list;
+}
+
+let model_lookup m ~vmid ~asid ~va =
+  let find k = List.assoc_opt k m.fifo in
+  let probe vp =
+    match find (vmid, asid, vp) with
+    | Some _ as r -> r
+    | None -> find (vmid, -1, vp)
+  in
+  let r =
+    match probe (va land lnot 4095) with
+    | Some _ as r -> r
+    | None -> (
+        match probe (va land lnot (m2 - 1)) with
+        | Some e when e.Tlb.page_bytes > 4096 -> Some e
+        | _ -> None)
+  in
+  (match r with
+  | Some _ -> m.m_hits <- m.m_hits + 1
+  | None -> m.m_misses <- m.m_misses + 1);
+  if not (List.mem vmid m.interned) then m.interned <- vmid :: m.interned;
+  r
+
+let model_insert m ~vmid ~asid ~va ~global (e : Tlb.entry) =
+  let k =
+    (vmid, (if global then -1 else asid), va land lnot (e.Tlb.page_bytes - 1))
+  in
+  if List.mem_assoc k m.fifo then
+    m.fifo <- List.map (fun (k', e') -> (k', if k' = k then e else e')) m.fifo
+  else begin
+    let fifo =
+      if List.length m.fifo >= m.cap then List.tl m.fifo else m.fifo
+    in
+    m.fifo <- fifo @ [ (k, e) ]
+  end;
+  if not (List.mem vmid m.interned) then m.interned <- vmid :: m.interned
+
+let model_remove_if m pred =
+  m.fifo <- List.filter (fun (k, _) -> not (pred k)) m.fifo
+
+let prop_tlb_reference_model =
+  QCheck2.Test.make ~name:"tlb: agrees with a FIFO reference model"
+    ~count:1000
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map pp_tlb_op ops)))
+    tlb_ops_gen
+    (fun (cap, ops) ->
+      let tlb = ref (Tlb.create ~capacity:cap ()) in
+      let fronts = ref [| Tlb.front_create (); Tlb.front_create () |] in
+      let m = { cap; fifo = []; m_hits = 0; m_misses = 0; interned = [] } in
+      let snap = ref None in
+      let fresh_pa = ref 0 in
+      let same_entry a b =
+        match (a, b) with
+        | Some x, Some y -> x == y
+        | None, None -> true
+        | _ -> false
+      in
+      let step op =
+        let t = !tlb in
+        let result_ok =
+          match op with
+          | T_insert { vmid; asid; va; global; big } ->
+              incr fresh_pa;
+              let page_bytes = if big then m2 else 4096 in
+              let e =
+                { Tlb.pa_page = !fresh_pa * m2;
+                  attrs =
+                    { Pte.user = false; read_only = false; uxn = true;
+                      pxn = true; ng = not global };
+                  s2 = None;
+                  page_bytes }
+              in
+              Tlb.insert t ~vmid ~asid ~va ~global e;
+              model_insert m ~vmid ~asid ~va ~global e;
+              true
+          | T_lookup { vmid; asid; va } ->
+              same_entry
+                (Tlb.lookup t ~vmid ~asid ~va)
+                (model_lookup m ~vmid ~asid ~va)
+          | T_probe { vmid; asid; va; front } ->
+              let fr = !fronts.(front) in
+              let got =
+                match Tlb.front_probe t fr ~vmid ~asid ~va with
+                | Some _ as r -> r
+                | None -> Tlb.lookup_front t fr ~vmid ~asid ~va
+              in
+              same_entry got (model_lookup m ~vmid ~asid ~va)
+          | T_flush_all ->
+              Tlb.flush_all t;
+              m.fifo <- [];
+              true
+          | T_flush_vmid v ->
+              Tlb.flush_vmid t v;
+              model_remove_if m (fun (v', _, _) -> v' = v);
+              true
+          | T_flush_asid { vmid; asid } ->
+              Tlb.flush_asid t ~vmid ~asid;
+              model_remove_if m (fun (v, a, _) -> v = vmid && a = asid);
+              true
+          | T_flush_va { vmid; va } ->
+              Tlb.flush_va t ~vmid ~va;
+              model_remove_if m (fun (v, _, vp) ->
+                  v = vmid
+                  && (vp = va land lnot 4095 || vp = va land lnot (m2 - 1)));
+              true
+          | T_capture ->
+              snap :=
+                Some
+                  ( Tlb.capture t,
+                    (m.fifo, m.m_hits, m.m_misses, m.interned) );
+              true
+          | T_restore { retag; fresh } -> (
+              match !snap with
+              | None -> true
+              | Some (st, (fifo, hits, misses, interned)) ->
+                  let retag =
+                    match retag with
+                    | None -> None
+                    | Some old -> (
+                        match
+                          List.find_opt
+                            (fun v -> not (List.mem v interned))
+                            [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+                        with
+                        | Some nv -> Some (old, nv)
+                        | None -> None)
+                  in
+                  let t =
+                    if fresh then begin
+                      tlb := Tlb.create ~capacity:cap ();
+                      fronts := [| Tlb.front_create (); Tlb.front_create () |];
+                      !tlb
+                    end
+                    else t
+                  in
+                  Tlb.restore ?retag t st;
+                  let map_v v =
+                    match retag with
+                    | Some (old, nv) when v = old -> nv
+                    | _ -> v
+                  in
+                  m.fifo <-
+                    List.map (fun ((v, a, vp), e) -> ((map_v v, a, vp), e)) fifo;
+                  m.m_hits <- hits;
+                  m.m_misses <- misses;
+                  m.interned <- List.map map_v interned;
+                  true)
+        in
+        let t = !tlb in
+        let oldest =
+          match m.fifo with [] -> None | (k, _) :: _ -> Some k
+        in
+        result_ok
+        && Tlb.hits t = m.m_hits
+        && Tlb.misses t = m.m_misses
+        && Tlb.size t = List.length m.fifo
+        && Tlb.fifo_length t = List.length m.fifo
+        && Tlb.oldest t = oldest
+      in
+      List.for_all step ops)
 
 (* ------------------------------------------------------------------ *)
 (* AES inverse *)
@@ -986,7 +1300,8 @@ let () =
           q prop_el0_needs_user;
           q prop_el1_never_executes_user_pages ] );
       ( "stage1", [ q prop_s1_model_agreement ] );
-      ( "tlb", [ q prop_tlb_transparent ] );
+      ( "int_table", [ q prop_int_table_model ] );
+      ( "tlb", [ q prop_tlb_transparent; q prop_tlb_reference_model ] );
       ( "fastpath",
         [ q prop_fast_slow_equivalent;
           q prop_smc_equivalent;
