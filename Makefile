@@ -1,6 +1,6 @@
-.PHONY: all build test bench bench-smoke fleet fleet-smoke fuzz \
-	fuzz-smoke smp smp-smoke scale scale-smoke profile snap-demo trace-demo \
-	clean
+.PHONY: all build test bench bench-smoke engine-diff fleet fleet-smoke \
+	fuzz fuzz-smoke smp smp-smoke scale scale-smoke profile snap-demo \
+	trace-demo clean
 
 all: build
 
@@ -22,6 +22,33 @@ bench: build
 bench-smoke:
 	dune build @bench-smoke
 	dune exec bench/throughput.exe -- --check BENCH_throughput.json
+
+# Engine differential over the CLI: traps, pentest, switch and three
+# trace exports (host, guest, guest with the trap fast paths) run under
+# LZ_ENGINE=slow, per-insn and blocks, and every output must be
+# byte-identical to the slow engine's; an unknown LZ_ENGINE must fail.
+# Outputs land in _build/engine-diff/<engine>/.
+engine-diff: build
+	@set -e; lz=$(CURDIR)/_build/default/bin/lzctl.exe; \
+	out=$(CURDIR)/_build/engine-diff; rm -rf $$out; \
+	for e in slow per-insn blocks; do \
+	  mkdir -p $$out/$$e; cd $$out/$$e; export LZ_ENGINE=$$e; \
+	  $$lz traps > traps.txt; \
+	  $$lz pentest > pentest.txt; \
+	  $$lz switch > switch.txt; \
+	  $$lz trace export -o host.jsonl > host.txt; \
+	  $$lz trace export -e guest -o guest.jsonl > guest.txt; \
+	  $$lz trace export -e guest --fast -o guest-fast.jsonl \
+	    > guest-fast.txt; \
+	done; \
+	for e in per-insn blocks; do \
+	  diff -rq $$out/slow $$out/$$e || \
+	    { diff -r $$out/slow $$out/$$e | head -20; exit 1; }; \
+	done; \
+	if LZ_ENGINE=bogus $$lz traps > /dev/null 2>&1; then \
+	  echo "engine-diff: LZ_ENGINE=bogus was accepted"; exit 1; \
+	fi; \
+	echo "engine-diff: slow, per-insn and blocks outputs identical"
 
 # Fleet-forking benchmark: 1024 instances off one warm 128-domain
 # image, writes BENCH_fleet.json in the repo root; fails if forking

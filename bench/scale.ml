@@ -133,8 +133,7 @@ type row = {
 let churn_row ~zones ~asid_bits ~connections ~iters cm =
   let t = build ~zones ~asid_bits cm in
   let core = t.Kmod.core in
-  Core.set_fast core true;
-  Core.set_blocks core true;
+  Core.set_engine core Core.Blocks;
   (* Warm one connection outside the timed window: demand paging of
      the image, gate registration and the sanitizer scan are setup
      cost, not churn cost. *)
@@ -169,11 +168,10 @@ let churn_row ~zones ~asid_bits ~connections ~iters cm =
    trace trees are trained and built during the warm-up slice, and
    neither does the per-insn engine. The slow path is not the shipped
    configuration. *)
-let zero_alloc_marginal ~blocks ~asid_bits cm =
+let zero_alloc_marginal ~engine ~asid_bits cm =
   let t = build ~zones:16 ~asid_bits cm in
   let core = t.Kmod.core in
-  Core.set_fast core true;
-  Core.set_blocks core blocks;
+  Core.set_engine core engine;
   let id = Api.lz_alloc t in
   Api.lz_map_gate_pgt t ~pgt:id ~gate:1;
   Api.lz_prot t ~addr:serve_va ~len:4096 ~pgt:id
@@ -295,8 +293,8 @@ let () =
         r)
       sweep
   in
-  let marginal_blocks = zero_alloc_marginal ~blocks:true ~asid_bits cm in
-  let marginal_insn = zero_alloc_marginal ~blocks:false ~asid_bits cm in
+  let marginal_blocks = zero_alloc_marginal ~engine:Core.Blocks ~asid_bits cm in
+  let marginal_insn = zero_alloc_marginal ~engine:Core.Per_insn ~asid_bits cm in
   Printf.printf
     "scale: steady-state switch path: %.4f minor words/switch (blocks), \
      %.4f (per-insn)\n%!"

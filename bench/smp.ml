@@ -56,7 +56,7 @@ let compute_program ~iters ~mark =
     Svc 0 ]
 
 let build_compute ~cores ~iters () =
-  let t = Smp.create ~fast:true ~blocks:true ~cores () in
+  let t = Smp.create ~engine:Core.Blocks ~cores () in
   for i = 0 to cores - 1 do
     let kernel = Kernel.create (Smp.slot_machine t i) Kernel.Host_vhe in
     let proc = Kernel.create_process kernel in

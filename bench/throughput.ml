@@ -75,8 +75,8 @@ let cross_check name core p ~c0 ~i0 =
     exit 1
   end
 
-let time_once ?(traced = false) ~fast ~blocks ~iters name =
-  let env = Microbench.build ~fast ~blocks ~iters name in
+let time_once ?(traced = false) ~engine ~iters name =
+  let env = Microbench.build ~engine ~iters name in
   let core = env.Microbench.core in
   if traced then begin
     (* Marker on the code page: every block in the program must run
@@ -101,10 +101,10 @@ let time_once ?(traced = false) ~fast ~blocks ~iters name =
 (* Best-of-[reps] wall clock: host scheduling noise only ever slows a
    run down, so the fastest repetition is the most faithful one — and
    the one stable enough for the --check regression gate. *)
-let time_run ?(reps = 1) ?(traced = false) ~fast ~blocks ~iters name =
-  let best = ref (time_once ~traced ~fast ~blocks ~iters name) in
+let time_run ?(reps = 1) ?(traced = false) ~engine ~iters name =
+  let best = ref (time_once ~traced ~engine ~iters name) in
   for _ = 2 to reps do
-    let r = time_once ~traced ~fast ~blocks ~iters name in
+    let r = time_once ~traced ~engine ~iters name in
     if r.mips > !best.mips then best := r
   done;
   !best
@@ -211,15 +211,15 @@ let () =
     List.map
       (fun name ->
         (* Warm the OCaml heap/code paths once before timing. *)
-        ignore (time_run ~fast:true ~blocks:true ~iters:1_000 name);
-        let fast = time_run ~reps ~fast:true ~blocks:true ~iters name in
-        let insn = time_run ~reps ~fast:true ~blocks:false ~iters name in
-        let slow = time_run ~reps ~fast:false ~blocks:false ~iters name in
+        ignore (time_run ~engine:Core.Blocks ~iters:1_000 name);
+        let fast = time_run ~reps ~engine:Core.Blocks ~iters name in
+        let insn = time_run ~reps ~engine:Core.Per_insn ~iters name in
+        let slow = time_run ~reps ~engine:Core.Slow ~iters name in
         let traced =
-          time_run ~reps ~traced:true ~fast:true ~blocks:true ~iters name
+          time_run ~reps ~traced:true ~engine:Core.Blocks ~iters name
         in
         let traced_insn =
-          time_run ~reps ~traced:true ~fast:true ~blocks:false ~iters name
+          time_run ~reps ~traced:true ~engine:Core.Per_insn ~iters name
         in
         let speedup = fast.mips /. slow.mips in
         let blk_speedup = fast.mips /. insn.mips in

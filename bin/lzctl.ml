@@ -290,7 +290,7 @@ let fuzz_cmd =
           List.iter
             (fun (run : Lz_fuzz.Oracle.run) ->
               Format.printf "  %-8s %s (%d insns, %d cycles)@."
-                (Lz_fuzz.Oracle.engine_name run.Lz_fuzz.Oracle.engine)
+                (Lz_cpu.Core.engine_name run.Lz_fuzz.Oracle.engine)
                 run.Lz_fuzz.Oracle.outcome run.Lz_fuzz.Oracle.insns
                 run.Lz_fuzz.Oracle.cycles)
             r.Lz_fuzz.Oracle.runs;

@@ -65,16 +65,28 @@ type t = {
   mutable stall : bool;
 }
 
-(* LZ_SLOW_PATH=1 forces the original un-cached path everywhere, for
-   differential runs against the fast engine. *)
-let default_fast () = Sys.getenv_opt "LZ_SLOW_PATH" <> Some "1"
+type engine = Fastpath.engine = Slow | Per_insn | Blocks
 
-let create ?(route_el1_to_harness = true) ?fast ?blocks phys tlb cost el =
-  let fast = match fast with Some f -> f | None -> default_fast () in
-  let fp = Fastpath.create ~enabled:fast in
-  (match blocks with
-  | Some b -> fp.Fastpath.blocks <- fast && b
-  | None -> ());
+let engines = [ Slow; Per_insn; Blocks ]
+
+let engine_name = function
+  | Slow -> "slow"
+  | Per_insn -> "per-insn"
+  | Blocks -> "blocks"
+
+let engine_of_string s = List.find_opt (fun e -> engine_name e = s) engines
+
+(* Read once at start-up. A misspelt value must not silently run the
+   default engine: a differential run would then compare blocks with
+   itself. *)
+let default_engine =
+  let s = Option.value (Sys.getenv_opt "LZ_ENGINE") ~default:"blocks" in
+  match engine_of_string s with
+  | Some e -> ref e
+  | None -> failwith ("LZ_ENGINE=" ^ s ^ ": expected slow, per-insn or blocks")
+
+let create ?(route_el1_to_harness = true) ?(engine = !default_engine) phys tlb
+    cost el =
   { regs = Array.make 31 0;
     pc = 0;
     sp_el0 = 0;
@@ -87,7 +99,7 @@ let create ?(route_el1_to_harness = true) ?fast ?blocks phys tlb cost el =
     cycles = 0;
     insns = 0;
     route_el1_to_harness;
-    fp;
+    fp = Fastpath.create engine;
     tracer = None;
     pmu = None;
     irqc = None;
@@ -134,18 +146,16 @@ let attach_irq ?dist t =
 
 let irq t = t.irqc
 
-let fast t = t.fp.Fastpath.enabled
+let engine t = t.fp.Fastpath.engine
 
-let set_fast t enabled =
-  t.fp.Fastpath.enabled <- enabled;
-  t.fp.Fastpath.blocks <- enabled && !Fastpath.default_blocks;
+let set_engine t e =
+  t.fp.Fastpath.engine <- e;
   Fastpath.reset t.fp
 
-let blocks t = t.fp.Fastpath.blocks
+let set_fast t on = set_engine t (if on then Blocks else Slow)
 
 let set_blocks t on =
-  t.fp.Fastpath.blocks <- on && t.fp.Fastpath.enabled;
-  Fastpath.reset t.fp
+  if engine t <> Slow then set_engine t (if on then Blocks else Per_insn)
 
 let charge t c = t.cycles <- t.cycles + c
 
@@ -212,23 +222,26 @@ let refresh_ctx t (c : Mmu.ctx) =
 
 let ctx_of t ~unpriv =
   let fp = t.fp in
-  if unpriv || not fp.Fastpath.enabled then mmu_ctx t ~unpriv
+  if unpriv then mmu_ctx t ~unpriv
   else
-    let g = Sysreg.mmu_gen t.sys in
-    match fp.Fastpath.ctx with
-    | Some c ->
-        if fp.Fastpath.ctx_gen <> g then begin
-          refresh_ctx t c;
-          fp.Fastpath.ctx_gen <- g
-        end;
-        if c.Mmu.el <> t.pstate.el then c.Mmu.el <- t.pstate.el;
-        if c.Mmu.pan <> t.pstate.pan then c.Mmu.pan <- t.pstate.pan;
-        c
-    | None ->
-        let c = mmu_ctx t ~unpriv:false in
-        fp.Fastpath.ctx <- Some c;
-        fp.Fastpath.ctx_gen <- g;
-        c
+    match fp.Fastpath.engine with
+    | Slow -> mmu_ctx t ~unpriv
+    | Per_insn | Blocks -> (
+        let g = Sysreg.mmu_gen t.sys in
+        match fp.Fastpath.ctx with
+        | Some c ->
+            if fp.Fastpath.ctx_gen <> g then begin
+              refresh_ctx t c;
+              fp.Fastpath.ctx_gen <- g
+            end;
+            if c.Mmu.el <> t.pstate.el then c.Mmu.el <- t.pstate.el;
+            if c.Mmu.pan <> t.pstate.pan then c.Mmu.pan <- t.pstate.pan;
+            c
+        | None ->
+            let c = mmu_ctx t ~unpriv:false in
+            fp.Fastpath.ctx <- Some c;
+            fp.Fastpath.ctx_gen <- g;
+            c)
 
 let translate ?front t ~unpriv access ~va =
   match Mmu.translate ?front t.phys t.tlb (ctx_of t ~unpriv) access ~va with
@@ -244,38 +257,38 @@ exception Exc of exception_class * int (* class, return address *)
    pipeline on a hit. *)
 let data_pa t ~unpriv access ~va ~ret =
   let fp = t.fp in
-  if fp.Fastpath.enabled then begin
-    let ctx = ctx_of t ~unpriv in
-    match
-      Tlb.front_probe t.tlb fp.Fastpath.dtlb ~vmid:ctx.Mmu.vmid
-        ~asid:(Mmu.va_asid ctx ~va) ~va
-    with
-    | Some e -> (
-        try Mmu.entry_pa_exn ctx access ~va e
-        with Mmu.Fault f -> raise (Exc (Ec_dabort f, ret)))
-    | None -> (
-        (* Full TLB lookup returns the table's preboxed entry, so a
-           hit completes through [entry_pa_exn] without allocating;
-           only a real miss pays the Result-typed walk. Accounting is
-           identical to [Mmu.translate]. *)
-        match
-          Tlb.lookup_front t.tlb fp.Fastpath.dtlb ~vmid:ctx.Mmu.vmid
-            ~asid:(Mmu.va_asid ctx ~va) ~va
-        with
-        | Some e -> (
-            try Mmu.entry_pa_exn ctx access ~va e
-            with Mmu.Fault f -> raise (Exc (Ec_dabort f, ret)))
-        | None -> (
-            match Mmu.translate_walk t.phys t.tlb ctx access ~va with
-            | Ok ok ->
-                charge t (ok.walk_reads * t.cost.pte_read);
-                ok.pa
-            | Error f -> raise (Exc (Ec_dabort f, ret))))
-  end
-  else
-    match translate t ~unpriv access ~va with
-    | Ok pa -> pa
-    | Error f -> raise (Exc (Ec_dabort f, ret))
+  match fp.Fastpath.engine with
+  | Slow -> (
+      match translate t ~unpriv access ~va with
+      | Ok pa -> pa
+      | Error f -> raise (Exc (Ec_dabort f, ret)))
+  | Per_insn | Blocks -> (
+      let ctx = ctx_of t ~unpriv in
+      match
+        Tlb.front_probe t.tlb fp.Fastpath.dtlb ~vmid:ctx.Mmu.vmid
+          ~asid:(Mmu.va_asid ctx ~va) ~va
+      with
+      | Some e -> (
+          try Mmu.entry_pa_exn ctx access ~va e
+          with Mmu.Fault f -> raise (Exc (Ec_dabort f, ret)))
+      | None -> (
+          (* Full TLB lookup returns the table's preboxed entry, so a
+             hit completes through [entry_pa_exn] without allocating;
+             only a real miss pays the Result-typed walk. Accounting is
+             identical to [Mmu.translate]. *)
+          match
+            Tlb.lookup_front t.tlb fp.Fastpath.dtlb ~vmid:ctx.Mmu.vmid
+              ~asid:(Mmu.va_asid ctx ~va) ~va
+          with
+          | Some e -> (
+              try Mmu.entry_pa_exn ctx access ~va e
+              with Mmu.Fault f -> raise (Exc (Ec_dabort f, ret)))
+          | None -> (
+              match Mmu.translate_walk t.phys t.tlb ctx access ~va with
+              | Ok ok ->
+                  charge t (ok.walk_reads * t.cost.pte_read);
+                  ok.pa
+              | Error f -> raise (Exc (Ec_dabort f, ret)))))
 
 (* Page-straddling accesses: a multi-byte access whose VA crosses a
    4 KiB boundary translates *both* pages (the two halves may live in
@@ -357,19 +370,19 @@ let watchpoint_hit t va =
    path always walks. *)
 let watchpoints_armed t =
   let fp = t.fp in
-  if not fp.Fastpath.enabled then true
-  else begin
-    let g = Sysreg.dbg_gen t.sys in
-    if fp.Fastpath.wp_gen <> g then begin
-      fp.Fastpath.wp_armed <-
-        Sysreg.read t.sys Sysreg.DBGWCR0_EL1 land 1 <> 0
-        || Sysreg.read t.sys Sysreg.DBGWCR1_EL1 land 1 <> 0
-        || Sysreg.read t.sys Sysreg.DBGWCR2_EL1 land 1 <> 0
-        || Sysreg.read t.sys Sysreg.DBGWCR3_EL1 land 1 <> 0;
-      fp.Fastpath.wp_gen <- g
-    end;
-    fp.Fastpath.wp_armed
-  end
+  match fp.Fastpath.engine with
+  | Slow -> true
+  | Per_insn | Blocks ->
+      let g = Sysreg.dbg_gen t.sys in
+      if fp.Fastpath.wp_gen <> g then begin
+        fp.Fastpath.wp_armed <-
+          Sysreg.read t.sys Sysreg.DBGWCR0_EL1 land 1 <> 0
+          || Sysreg.read t.sys Sysreg.DBGWCR1_EL1 land 1 <> 0
+          || Sysreg.read t.sys Sysreg.DBGWCR2_EL1 land 1 <> 0
+          || Sysreg.read t.sys Sysreg.DBGWCR3_EL1 land 1 <> 0;
+        fp.Fastpath.wp_gen <- g
+      end;
+      fp.Fastpath.wp_armed
 
 let esr_of_class = function
   | Ec_svc imm -> (0x15 lsl 26) lor imm
@@ -1039,36 +1052,36 @@ let exec t insn ~pc_cur ~next =
    faults — is identical to the slow path. *)
 let fetch_pa t ~pc_cur =
   let fp = t.fp in
-  if fp.Fastpath.enabled then begin
-    let ctx = ctx_of t ~unpriv:false in
-    match
-      Tlb.front_probe t.tlb fp.Fastpath.itlb ~vmid:ctx.Mmu.vmid
-        ~asid:(Mmu.va_asid ctx ~va:pc_cur) ~va:pc_cur
-    with
-    | Some e -> (
-        try Mmu.entry_pa_exn ctx Mmu.Exec ~va:pc_cur e
-        with Mmu.Fault f -> raise (Exc (Ec_iabort f, pc_cur)))
-    | None -> (
-        (* Same allocation-free hit completion as [data_pa]: the full
-           lookup hands back the table's preboxed entry. *)
-        match
-          Tlb.lookup_front t.tlb fp.Fastpath.itlb ~vmid:ctx.Mmu.vmid
-            ~asid:(Mmu.va_asid ctx ~va:pc_cur) ~va:pc_cur
-        with
-        | Some e -> (
-            try Mmu.entry_pa_exn ctx Mmu.Exec ~va:pc_cur e
-            with Mmu.Fault f -> raise (Exc (Ec_iabort f, pc_cur)))
-        | None -> (
-            match Mmu.translate_walk t.phys t.tlb ctx Mmu.Exec ~va:pc_cur with
-            | Ok ok ->
-                charge t (ok.walk_reads * t.cost.pte_read);
-                ok.pa
-            | Error f -> raise (Exc (Ec_iabort f, pc_cur))))
-  end
-  else
-    match translate t ~unpriv:false Mmu.Exec ~va:pc_cur with
-    | Ok pa -> pa
-    | Error f -> raise (Exc (Ec_iabort f, pc_cur))
+  match fp.Fastpath.engine with
+  | Slow -> (
+      match translate t ~unpriv:false Mmu.Exec ~va:pc_cur with
+      | Ok pa -> pa
+      | Error f -> raise (Exc (Ec_iabort f, pc_cur)))
+  | Per_insn | Blocks -> (
+      let ctx = ctx_of t ~unpriv:false in
+      match
+        Tlb.front_probe t.tlb fp.Fastpath.itlb ~vmid:ctx.Mmu.vmid
+          ~asid:(Mmu.va_asid ctx ~va:pc_cur) ~va:pc_cur
+      with
+      | Some e -> (
+          try Mmu.entry_pa_exn ctx Mmu.Exec ~va:pc_cur e
+          with Mmu.Fault f -> raise (Exc (Ec_iabort f, pc_cur)))
+      | None -> (
+          (* Same allocation-free hit completion as [data_pa]: the full
+             lookup hands back the table's preboxed entry. *)
+          match
+            Tlb.lookup_front t.tlb fp.Fastpath.itlb ~vmid:ctx.Mmu.vmid
+              ~asid:(Mmu.va_asid ctx ~va:pc_cur) ~va:pc_cur
+          with
+          | Some e -> (
+              try Mmu.entry_pa_exn ctx Mmu.Exec ~va:pc_cur e
+              with Mmu.Fault f -> raise (Exc (Ec_iabort f, pc_cur)))
+          | None -> (
+              match Mmu.translate_walk t.phys t.tlb ctx Mmu.Exec ~va:pc_cur with
+              | Ok ok ->
+                  charge t (ok.walk_reads * t.cost.pte_read);
+                  ok.pa
+              | Error f -> raise (Exc (Ec_iabort f, pc_cur)))))
 
 let step_body t ~pc_cur ~next =
   t.insns <- t.insns + 1;
@@ -1076,8 +1089,9 @@ let step_body t ~pc_cur ~next =
   try
     let pa = fetch_pa t ~pc_cur in
     let insn =
-      if t.fp.Fastpath.enabled then Fastpath.fetch t.fp t.phys pa
-      else Encoding.decode (Phys.read32 t.phys pa)
+      match t.fp.Fastpath.engine with
+      | Slow -> Encoding.decode (Phys.read32 t.phys pa)
+      | Per_insn | Blocks -> Fastpath.fetch t.fp t.phys pa
     in
     exec t insn ~pc_cur ~next;
     None
@@ -1365,28 +1379,29 @@ and blocks_entry t remaining horizon src sx =
    differential enforces this) while retaining most of the block
    speedup. *)
 let run ?(max_insns = 10_000_000) t =
-  if t.fp.Fastpath.enabled && t.fp.Fastpath.blocks then blocks_full t max_insns
-  else
-    match t.tracer with
-    | None ->
-        let rec loop budget =
-          if budget <= 0 then Limit
-          else
-            match maybe_irq t with
-            | Some s -> s
-            | None -> (
-                let pc_cur = t.pc in
-                match step_body t ~pc_cur ~next:(pc_cur + 4) with
-                | None -> loop (budget - 1)
-                | Some s -> s)
-        in
-        loop max_insns
-    | Some _ ->
-        let rec loop budget =
-          if budget <= 0 then Limit
-          else match step t with None -> loop (budget - 1) | Some s -> s
-        in
-        loop max_insns
+  match t.fp.Fastpath.engine with
+  | Blocks -> blocks_full t max_insns
+  | Slow | Per_insn -> (
+      match t.tracer with
+      | None ->
+          let rec loop budget =
+            if budget <= 0 then Limit
+            else
+              match maybe_irq t with
+              | Some s -> s
+              | None -> (
+                  let pc_cur = t.pc in
+                  match step_body t ~pc_cur ~next:(pc_cur + 4) with
+                  | None -> loop (budget - 1)
+                  | Some s -> s)
+          in
+          loop max_insns
+      | Some _ ->
+          let rec loop budget =
+            if budget <= 0 then Limit
+            else match step t with None -> loop (budget - 1) | Some s -> s
+          in
+          loop max_insns)
 
 let pp_class ppf = function
   | Ec_svc i -> Format.fprintf ppf "svc #%d" i

@@ -12,7 +12,12 @@
     into simulated code ([route_el1_to_harness = false]): LightZone
     processes run at EL1 with a small simulated vector stub that
     forwards traps to the kernel module via HVC, exactly as the paper's
-    user-space API library does (Section 5.1.3). *)
+    user-space API library does (Section 5.1.3).
+
+    Each core runs one of three execution {!engine}s. They differ only
+    in host speed: registers, memory, cycles, instruction counts and
+    TLB statistics are identical under all three, which
+    {!Differential} checks. *)
 
 type exception_class =
   | Ec_svc of int
@@ -60,7 +65,7 @@ type t = {
   mutable cycles : int;
   mutable insns : int;
   mutable route_el1_to_harness : bool;
-  fp : Fastpath.t;  (** fast-path caches; see {!fast}. *)
+  fp : Fastpath.t;  (** fast-path caches and the {!engine}. *)
   mutable tracer : Lz_trace.Trace.t option;  (** see {!set_tracer}. *)
   mutable pmu : Lz_arm.Pmu.t option;  (** see {!attach_pmu}. *)
   mutable irqc : Lz_irq.Irq.t option;  (** see {!attach_irq}. *)
@@ -81,37 +86,53 @@ val broadcast_shootdown : t -> shootdown -> unit
     kernel paths (munmap/mprotect) that stand in for a core executing
     the instruction. *)
 
+(** {1 Execution engines} *)
+
+type engine = Fastpath.engine =
+  | Slow
+      (** the reference: every fetch decodes and every access
+          translates through the full TLB lookup. *)
+  | Per_insn
+      (** decoded-instruction cache, micro-TLBs and a memoized MMU
+          context. *)
+  | Blocks
+      (** [Per_insn] plus the superblock layer: trace-tree translation
+          cache with hot-branch folding, side exits, chaining and an
+          interrupt-horizon guard. Interrupts are taken at the same
+          instruction boundaries, and traced runs stay block-aware. *)
+
+val engines : engine list
+(** [[Slow; Per_insn; Blocks]], reference first. *)
+
+val engine_name : engine -> string
+(** ["slow"], ["per-insn"] or ["blocks"]. *)
+
+val engine_of_string : string -> engine option
+(** Inverse of {!engine_name}; [None] for any other string. *)
+
+val default_engine : engine ref
+(** The engine of cores created without [?engine]. Initialised once
+    from [LZ_ENGINE] ([slow], [per-insn] or [blocks]; unset means
+    [blocks]); any other value fails at start-up. *)
+
 val create :
   ?route_el1_to_harness:bool ->
-  ?fast:bool ->
-  ?blocks:bool ->
+  ?engine:engine ->
   Lz_mem.Phys.t -> Lz_mem.Tlb.t -> Cost_model.t -> Lz_arm.Pstate.el -> t
-(** [?fast] selects the fast-path execution engine (decoded-insn
-    cache, micro-TLBs, memoized MMU context). Architectural behaviour
-    — registers, memory, cycles, insns, TLB statistics — is identical
-    either way; only host speed differs. Defaults to [true] unless the
-    [LZ_SLOW_PATH=1] environment variable is set.
+(** [?engine] defaults to [!default_engine]. *)
 
-    [?blocks] additionally selects the superblock layer on top of the
-    fast path (trace-tree translation cache with hot-branch folding,
-    side exits, chaining and an interrupt-horizon guard; ignored when
-    the fast path is off). Equally architecturally invisible —
-    asynchronous interrupts are taken at exactly the same instruction
-    boundary as the per-instruction path, and traced runs stay
-    block-aware with a byte-identical event stream. Defaults to
-    [fast] unless [LZ_NO_BLOCKS=1] is set. *)
+val engine : t -> engine
 
-val fast : t -> bool
+val set_engine : t -> engine -> unit
+(** Switch engines, dropping every fast-path cache. *)
 
 val set_fast : t -> bool -> unit
-(** Toggle the fast path, resetting all its caches. The block layer
-    follows {!Fastpath.default_blocks}. *)
-
-val blocks : t -> bool
+(** [set_engine t (if on then Blocks else Slow)]. Kept only because
+    [hostbench/workloads.ml] calls it; use {!set_engine}. *)
 
 val set_blocks : t -> bool -> unit
-(** Toggle the superblock layer (no-op force-off while the fast path
-    is disabled), resetting the fast-path caches. *)
+(** [Blocks] if [on], else [Per_insn]; no-op under [Slow]. Kept only
+    because [hostbench/workloads.ml] calls it; use {!set_engine}. *)
 
 val charge : t -> int -> unit
 (** Add cycles (used by OCaml-modelled kernel/hypervisor work). *)

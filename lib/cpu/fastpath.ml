@@ -80,9 +80,10 @@ type dpage = {
   bias : int array;
 }
 
+type engine = Slow | Per_insn | Blocks
+
 type t = {
-  mutable enabled : bool;
-  mutable blocks : bool;
+  mutable engine : engine;
   itlb : Tlb.front;
   dtlb : Tlb.front;
   (* Memoized MMU context (unpriv = false), rebuilt only when a
@@ -120,10 +121,6 @@ type t = {
   mutable st_retrains : int;
 }
 
-(* LZ_NO_BLOCKS=1 keeps the per-instruction fast path but disables the
-   block layer, for three-way differential runs. *)
-let default_blocks = ref (Sys.getenv_opt "LZ_NO_BLOCKS" <> Some "1")
-
 let insns_per_page = Phys.page_size / 4
 
 let empty_dpage () =
@@ -135,9 +132,8 @@ let empty_dpage () =
 (* Filler for the unused tail of [dpages]; never read. *)
 let no_dpage = { dgen = -1; code = [||]; blk = [||]; bias = [||] }
 
-let create ~enabled =
-  { enabled;
-    blocks = enabled && !default_blocks;
+let create engine =
+  { engine;
     itlb = Tlb.front_create ();
     dtlb = Tlb.front_create ();
     ctx = None;

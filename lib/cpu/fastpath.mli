@@ -6,11 +6,11 @@
     superblock / trace-tree cache layered on it, the 2-entry MRU
     iTLB/dTLB front caches, the memoized MMU translation context, and
     the cached watchpoint-armed flag. None of it is architectural
-    state — with [enabled = false] the core ignores all of it and runs
-    the original un-cached path, which the differential property tests
-    compare against; with [blocks = false] the per-instruction fast
-    path runs without the block layer (the three-way differential
-    mode). *)
+    state: it is consulted according to the core's {!engine}, and the
+    three engines are checked against each other by
+    {!Differential}. *)
+
+type engine = Slow | Per_insn | Blocks  (** See {!Core.engine}. *)
 
 type side_exit = {
   sx_hot_delta : int;
@@ -75,8 +75,7 @@ type dpage = {
 }
 
 type t = {
-  mutable enabled : bool;
-  mutable blocks : bool;
+  mutable engine : engine;
   itlb : Lz_mem.Tlb.front;
   dtlb : Lz_mem.Tlb.front;
   mutable ctx : Lz_mem.Mmu.ctx option;
@@ -101,12 +100,7 @@ type t = {
   mutable st_retrains : int;
 }
 
-val default_blocks : bool ref
-(** Initial [blocks] flag for new cores with the fast path enabled.
-    Defaults to [true] unless [LZ_NO_BLOCKS=1] is set — the
-    three-way differential mode (slow / per-insn fast / blocks). *)
-
-val create : enabled:bool -> t
+val create : engine -> t
 
 val fetch : t -> Lz_mem.Phys.t -> int -> Lz_arm.Insn.t
 (** [fetch t phys pa] returns the decoded instruction at physical

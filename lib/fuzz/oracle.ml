@@ -48,15 +48,6 @@ let vmid_base = 0x3000
    diverge on purpose so shrinking can be tested end to end. *)
 let debug_cost_skew : (Fuzz_case.t -> int) option ref = ref None
 
-type engine = Slow | Per_insn | Blocks
-
-let engine_name = function
-  | Slow -> "slow"
-  | Per_insn -> "per-insn"
-  | Blocks -> "blocks"
-
-let engines = [ Slow; Per_insn; Blocks ]
-
 type env = {
   cm : Lz_cpu.Cost_model.t;
   domains : int;
@@ -314,7 +305,7 @@ let outcome_string = function
   | Kmod.Limit_reached -> "limit"
 
 type run = {
-  engine : engine;
+  engine : Core.engine;
   outcome : string;
   digest : string;
   cycles : int;
@@ -329,16 +320,9 @@ let run_one f base tr0 reset (c : Fuzz_case.t) engine =
   ignore (Snapshot.restore f base);
   (match reset with Some r -> r () | None -> ());
   let core = f.Kmod.core in
-  (match engine with
-  | Slow -> Core.set_fast core false
-  | Per_insn ->
-      Core.set_fast core true;
-      Core.set_blocks core false
-  | Blocks ->
-      Core.set_fast core true;
-      Core.set_blocks core true);
-  (match !debug_cost_skew with
-  | Some k when engine = Blocks -> Core.charge core (k c)
+  Core.set_engine core engine;
+  (match (!debug_cost_skew, engine) with
+  | Some k, Core.Blocks -> Core.charge core (k c)
   | _ -> ());
   let tr = Trace.clone_config tr0 in
   Kmod.set_tracer f (Some tr);
@@ -365,7 +349,8 @@ let run_one f base tr0 reset (c : Fuzz_case.t) engine =
 (* ------------------------------------------------------------------ *)
 (* Differential comparison and coverage keys *)
 
-type divergence = { field : string; a : engine; b : engine; detail : string }
+type divergence =
+  { field : string; a : Core.engine; b : Core.engine; detail : string }
 
 let compare_runs (r1 : run) (r2 : run) =
   let mk field detail = Some { field; a = r1.engine; b = r2.engine; detail } in
@@ -532,12 +517,6 @@ let kernel_outcome_string = function
   | Kernel.Limit_reached -> "limit"
 
 let run_smp_engine cm (c : Fuzz_case.t) engine =
-  let fast, blocks =
-    match engine with
-    | Slow -> (false, false)
-    | Per_insn -> (true, false)
-    | Blocks -> (true, true)
-  in
   let machine = Machine.create ~cost:cm () in
   let kernel = Kernel.create machine Kernel.Host_vhe in
   let proc = Kernel.create_process kernel in
@@ -571,7 +550,7 @@ let run_smp_engine cm (c : Fuzz_case.t) engine =
   let cores =
     Array.init ncpus (fun _ ->
         let tlb = Lz_mem.Tlb.create ~capacity:120 () in
-        Core.create ~route_el1_to_harness:true ~fast ~blocks
+        Core.create ~route_el1_to_harness:true ~engine
           machine.Machine.phys tlb machine.Machine.cost Pstate.EL0)
   in
   let tracers =
@@ -672,11 +651,12 @@ let run_smp_engine cm (c : Fuzz_case.t) engine =
     fp = Fastpath.stats cores.(0).Core.fp;
   }
 
+let result_of (c : Fuzz_case.t) runs =
+  let blocks_run = List.find (fun r -> r.engine = Core.Blocks) runs in
+  { runs; divergence = first_divergence runs; keys = keys_of c blocks_run }
+
 let run_smp_race_case env (c : Fuzz_case.t) =
-  let runs = List.map (run_smp_engine env.cm c) engines in
-  let divergence = first_divergence runs in
-  let blocks_run = List.nth runs (List.length runs - 1) in
-  { runs; divergence; keys = keys_of c blocks_run }
+  result_of c (List.map (run_smp_engine env.cm c) Core.engines)
 
 let run_case env (c : Fuzz_case.t) =
   if c.kind = Fuzz_case.Smp_race then run_smp_race_case env c
@@ -698,17 +678,15 @@ let run_case env (c : Fuzz_case.t) =
   install_words f ~va:scratch_code_va words;
   f.Kmod.core.Core.pc <- scratch_code_va;
   let base = Snapshot.capture f in
-  let runs = List.map (run_one f base tr0 reset c) engines in
+  let runs = List.map (run_one f base tr0 reset c) Core.engines in
   Snapshot.release f base;
   (* Hand the fork's VMID back: the next case's fork pops the same
      value the pin would have produced, so recycling keeps the event
      streams (which carry VMIDs) byte-stable across the campaign. *)
   Snapshot.retire_fork f;
-  let divergence = first_divergence runs in
-  let blocks_run = List.nth runs (List.length runs - 1) in
-  { runs; divergence; keys = keys_of c blocks_run }
+  result_of c runs
   end
 
 let pp_divergence ppf d =
-  Format.fprintf ppf "%s: %s vs %s: %s" d.field (engine_name d.a)
-    (engine_name d.b) d.detail
+  Format.fprintf ppf "%s: %s vs %s: %s" d.field (Core.engine_name d.a)
+    (Core.engine_name d.b) d.detail

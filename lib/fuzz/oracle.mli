@@ -12,11 +12,6 @@
     VMIDs stay comparable); dropped fork views are reclaimed by
     rebuilding the warm image every [recycle_every] cases. *)
 
-type engine = Slow | Per_insn | Blocks
-
-val engine_name : engine -> string
-val engines : engine list
-
 type env = {
   cm : Lz_cpu.Cost_model.t;
   domains : int;
@@ -41,7 +36,7 @@ val debug_cost_skew : (Fuzz_case.t -> int) option ref
     end to end. *)
 
 type run = {
-  engine : engine;
+  engine : Lz_cpu.Core.engine;
   outcome : string;
   digest : string;
   cycles : int;
@@ -52,7 +47,9 @@ type run = {
   fp : Lz_cpu.Fastpath.stats;
 }
 
-type divergence = { field : string; a : engine; b : engine; detail : string }
+type divergence =
+  { field : string; a : Lz_cpu.Core.engine; b : Lz_cpu.Core.engine;
+    detail : string }
 
 type result = {
   runs : run list;

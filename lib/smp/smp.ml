@@ -80,7 +80,7 @@ type t = {
 let cores t = Array.length t.slots
 
 let create ?(cost = Cost_model.cortex_a55) ?(mem_mib = 512)
-    ?(tlb_capacity = 120) ?fast ?blocks ?(quantum = 10_000) ~cores () =
+    ?(tlb_capacity = 120) ?engine ?(quantum = 10_000) ~cores () =
   if cores < 1 then invalid_arg "Smp.create: need at least one core";
   if quantum < 1 then invalid_arg "Smp.create: quantum must be positive";
   let phys = Phys.create ~size_mib:mem_mib () in
@@ -92,7 +92,7 @@ let create ?(cost = Cost_model.cortex_a55) ?(mem_mib = 512)
     let view = Phys.alias phys in
     let tlb = Tlb.create ~capacity:tlb_capacity () in
     let core =
-      Core.create ~route_el1_to_harness:true ?fast ?blocks view tlb cost
+      Core.create ~route_el1_to_harness:true ?engine view tlb cost
         Pstate.EL0
     in
     let iv = Core.attach_irq ~dist core in

@@ -10,7 +10,9 @@
     the machine sequentially ({!run} [~parallel:false], the oracle) or
     on one OCaml domain per core ([~parallel:true]) yields
     bit-identical per-core architectural digests and traces for
-    workloads that do not race on shared guest memory.
+    workloads that do not race on shared guest memory. Every core runs
+    the one execution engine given to {!create}; the digests are also
+    identical across engines.
 
     Shootdown protocol: an inner-shareable TLBI (or a kernel page
     invalidation executed with [?core]) flushes locally, stages a
@@ -61,8 +63,7 @@ val create :
   ?cost:Lz_cpu.Cost_model.t ->
   ?mem_mib:int ->
   ?tlb_capacity:int ->
-  ?fast:bool ->
-  ?blocks:bool ->
+  ?engine:Lz_cpu.Core.engine ->
   ?quantum:int ->
   cores:int ->
   unit ->
@@ -70,8 +71,9 @@ val create :
 (** Build the machine: shared memory and distributor, per-core alias
     views, private TLBs, tracers and timers; SGIs 0–15 enabled on
     every redistributor. With [cores = 1] no shootdown hook is
-    installed — IS TLBIs keep exact uniprocessor semantics. [quantum]
-    defaults to 10k cycles. *)
+    installed — IS TLBIs keep exact uniprocessor semantics. [?engine]
+    defaults to {!Lz_cpu.Core.default_engine}; [quantum] defaults to
+    10k cycles. *)
 
 val cores : t -> int
 val slot : t -> int -> slot

@@ -40,8 +40,7 @@ type core_state = {
   cs_cycles : int;
   cs_insns : int;
   cs_route : bool;
-  cs_fast : bool;
-  cs_blocks : bool;
+  cs_engine : Core.engine;
   cs_tlb : Tlb.state;
   cs_pmu : Pmu.state option;
   cs_gic : Lz_irq.Gic.state option;
@@ -66,8 +65,7 @@ let capture_core (core : Core.t) =
     cs_cycles = core.Core.cycles;
     cs_insns = core.Core.insns;
     cs_route = core.Core.route_el1_to_harness;
-    cs_fast = Core.fast core;
-    cs_blocks = Core.blocks core;
+    cs_engine = Core.engine core;
     cs_tlb = Tlb.capture core.Core.tlb;
     cs_pmu = Option.map Pmu.capture (Core.pmu core);
     cs_gic = gic;
@@ -114,9 +112,8 @@ let restore_core ?(tlb = true) (core : Core.t) cs =
       | Some iv -> Lz_irq.Timer.stop iv.Lz_irq.Irq.timer
       | None -> ()));
   (* Reset the fast-path caches (decode cache, superblocks, micro-TLBs,
-     memoized MMU context): set_fast rebuilds them from scratch. *)
-  Core.set_fast core cs.cs_fast;
-  Core.set_blocks core cs.cs_blocks
+     memoized MMU context): set_engine rebuilds them from scratch. *)
+  Core.set_engine core cs.cs_engine
 
 (* ------------------------------------------------------------------ *)
 (* Whole machine *)
@@ -269,8 +266,8 @@ let fork (z : Kmod.t) s =
      Carrying the TLB keeps forks bit-identical to the source, cycles
      included. *)
   let core =
-    Core.create ~route_el1_to_harness:s.s_core.cs_route ~fast:s.s_core.cs_fast
-      ~blocks:s.s_core.cs_blocks phys tlb machine.Machine.cost
+    Core.create ~route_el1_to_harness:s.s_core.cs_route
+      ~engine:s.s_core.cs_engine phys tlb machine.Machine.cost
       s.s_core.cs_pstate.Pstate.el
   in
   restore_core ~tlb:false core s.s_core;

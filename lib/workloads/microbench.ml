@@ -97,7 +97,7 @@ let program_of_name ~iters = function
   | "nginx" -> nginx_program ~iters
   | n -> invalid_arg ("Microbench.build: unknown program " ^ n)
 
-let build ?fast ?blocks ~iters name =
+let build ?engine ~iters name =
   let program = program_of_name ~iters name in
   let phys = Phys.create () in
   let tlb = Tlb.create () in
@@ -123,7 +123,7 @@ let build ?fast ?blocks ~iters name =
   List.iteri
     (fun i insn -> Phys.write32 phys (code_pa + (4 * i)) (Encoding.encode insn))
     program;
-  let core = Core.create ?fast ?blocks phys tlb Cost_model.cortex_a55 Pstate.EL1 in
+  let core = Core.create ?engine phys tlb Cost_model.cortex_a55 Pstate.EL1 in
   Sysreg.write core.sys Sysreg.TTBR0_EL1 (Mmu.ttbr_value ~root ~asid:1);
   core.pc <- code_va;
   { core; data_pas }
@@ -134,28 +134,7 @@ let run_to_brk env =
   | s -> Format.kasprintf failwith "Microbench: unexpected stop: %a"
            Core.pp_stop s
 
-type summary = {
-  regs : int array;
-  final_pc : int;
-  mem_digest : string;
-  cycles : int;
-  insns : int;
-  tlb_hits : int;
-  tlb_misses : int;
-}
-
-let run_summary ?fast ?blocks ~iters name =
-  let env = build ?fast ?blocks ~iters name in
+let run_summary ?engine ~iters name =
+  let env = build ?engine ~iters name in
   run_to_brk env;
-  let core = env.core in
-  let buf = Buffer.create (data_pages * 4096) in
-  List.iter
-    (fun pa -> Buffer.add_bytes buf (Phys.read_bytes core.phys pa 4096))
-    env.data_pas;
-  { regs = Array.init 31 (Core.reg core);
-    final_pc = core.pc;
-    mem_digest = Digest.string (Buffer.contents buf);
-    cycles = core.cycles;
-    insns = core.insns;
-    tlb_hits = Tlb.hits core.tlb;
-    tlb_misses = Tlb.misses core.tlb }
+  Differential.observe ~pages:env.data_pas env.core

@@ -4,8 +4,8 @@
     {!Mysql_sim}, {!Nginx_sim}), these are real instruction streams
     assembled into simulated memory and executed by {!Lz_cpu.Core} —
     the fuel for the throughput benchmark ([bench/throughput.ml]) and
-    the fast-vs-slow differential property test. Three programs echo
-    the paper's workload mix:
+    the three-engine {!Lz_cpu.Differential} property tests. Three
+    programs echo the paper's workload mix:
 
     - ["aes"]    — ALU-dense block mixing with table-lookup loads;
     - ["mysql"]  — pointer-striding loads/stores across several pages
@@ -27,26 +27,16 @@ type env = {
   data_pas : int list;  (** physical frames backing the data pages. *)
 }
 
-val build : ?fast:bool -> ?blocks:bool -> iters:int -> string -> env
+val build : ?engine:Lz_cpu.Core.engine -> iters:int -> string -> env
 (** [build name] assembles the named program with an [iters]-iteration
-    loop into a fresh machine. [?fast] and [?blocks] are passed to
+    loop into a fresh machine. [?engine] is passed to
     {!Lz_cpu.Core.create}. Raises [Invalid_argument] on an unknown
     name. *)
 
 val run_to_brk : env -> unit
 (** Run until the final BRK; raises [Failure] on any other stop. *)
 
-type summary = {
-  regs : int array;        (** x0..x30 after the run. *)
-  final_pc : int;
-  mem_digest : string;     (** digest of every data frame. *)
-  cycles : int;
-  insns : int;
-  tlb_hits : int;
-  tlb_misses : int;
-}
-(** Everything the differential test compares; two runs of the same
-    program are architecturally identical iff their summaries are
-    equal. *)
-
-val run_summary : ?fast:bool -> ?blocks:bool -> iters:int -> string -> summary
+val run_summary :
+  ?engine:Lz_cpu.Core.engine -> iters:int -> string -> Lz_cpu.Differential.t
+(** Build, run to the final BRK and observe the core, digesting every
+    data page. *)

@@ -14,9 +14,10 @@ let data_va = 0x20000
 type env = { phys : Phys.t; core : Core.t; root : int }
 
 (* A minimal single-stage environment: one code page and one data page
-   mapped in a fresh stage-1 tree, PC at the code page. *)
-let build_env ?(cost = Cost_model.cortex_a55) ?(el = Pstate.EL1)
-    ?(data_user = false) ?(data_ro = false) program =
+   mapped in a fresh stage-1 tree, PC at the code page. [code_rw] makes
+   the code page writable, for self-modifying programs. *)
+let build_env ?engine ?(cost = Cost_model.cortex_a55) ?(el = Pstate.EL1)
+    ?(code_rw = false) ?(data_user = false) ?(data_ro = false) program =
   let phys = Phys.create () in
   let tlb = Tlb.create () in
   let root = Stage1.create_root phys in
@@ -24,7 +25,7 @@ let build_env ?(cost = Cost_model.cortex_a55) ?(el = Pstate.EL1)
   let data_pa = Phys.alloc_frame phys in
   let user_code = el = Pstate.EL0 in
   Stage1.map_page phys ~root ~va:code_va ~pa:code_pa
-    { Pte.user = user_code; read_only = true; uxn = not user_code;
+    { Pte.user = user_code; read_only = not code_rw; uxn = not user_code;
       pxn = user_code; ng = true };
   Stage1.map_page phys ~root ~va:data_va ~pa:data_pa
     { Pte.user = data_user || el = Pstate.EL0; read_only = data_ro;
@@ -32,7 +33,7 @@ let build_env ?(cost = Cost_model.cortex_a55) ?(el = Pstate.EL1)
   List.iteri
     (fun i insn -> Phys.write32 phys (code_pa + (4 * i)) (Encoding.encode insn))
     program;
-  let core = Core.create phys tlb cost el in
+  let core = Core.create ?engine phys tlb cost el in
   Sysreg.write core.sys Sysreg.TTBR0_EL1 (Mmu.ttbr_value ~root ~asid:1);
   core.pc <- code_va;
   { phys; core; root }
@@ -420,34 +421,12 @@ let test_run_limit () =
 (* ------------------------------------------------------------------ *)
 (* Superblock cache invalidation *)
 
-(* Like [build_env] but with a writable, executable code page, for
-   self-modifying programs. *)
-let build_env_wx ?(fast = true) ?(blocks = true) program =
-  let phys = Phys.create () in
-  let tlb = Tlb.create () in
-  let root = Stage1.create_root phys in
-  let code_pa = Phys.alloc_frame phys in
-  let data_pa = Phys.alloc_frame phys in
-  Stage1.map_page phys ~root ~va:code_va ~pa:code_pa
-    { Pte.user = false; read_only = false; uxn = true; pxn = false;
-      ng = true };
-  Stage1.map_page phys ~root ~va:data_va ~pa:data_pa
-    { Pte.user = false; read_only = false; uxn = true; pxn = true; ng = true };
-  List.iteri
-    (fun i insn -> Phys.write32 phys (code_pa + (4 * i)) (Encoding.encode insn))
-    program;
-  let core = Core.create ~fast ~blocks phys tlb Cost_model.cortex_a55
-      Pstate.EL1 in
-  Sysreg.write core.sys Sysreg.TTBR0_EL1 (Mmu.ttbr_value ~root ~asid:1);
-  core.pc <- code_va;
-  { phys; core; root }
-
 (* IC IALLU mid-loop: each iteration patches the MOVZ at the patch
    site with the loop counter, flushes the decode caches, executes it
    and accumulates. The superblock covering the loop body is chained
    to itself, so a stale-block bug would re-run the old immediate.
-   x6 must equal 1+2+...+iters — and the run must be bit-identical to
-   the slow engine's. *)
+   x6 must equal 1+2+...+iters — and every engine must agree with the
+   slow one. *)
 let smc_ic_iallu_program ~iters ~with_ic =
   let open Insn in
   let base = Encoding.encode (Movz (5, 0, 0)) in
@@ -466,27 +445,26 @@ let smc_ic_iallu_program ~iters ~with_ic =
     Cbnz (0, 4 * (5 - 12));               (* 12 *)
     Brk 0 ]                               (* 13 *)
 
-let run_smc ~fast ~blocks ~iters ~with_ic =
-  let env = build_env_wx ~fast ~blocks (smc_ic_iallu_program ~iters ~with_ic)
-  in
-  expect_brk (run env);
-  (env.core.insns, env.core.cycles, Core.reg env.core 6)
-
 let test_smc_ic_iallu_mid_loop () =
   let iters = 40 in
   let want = iters * (iters + 1) / 2 in
   List.iter
     (fun with_ic ->
-      let (_, _, sum) as blk = run_smc ~fast:true ~blocks:true ~iters
-          ~with_ic in
-      let slow = run_smc ~fast:false ~blocks:false ~iters ~with_ic in
-      check_int "patched sum" want sum;
-      check_bool "blocks = slow" true (blk = slow))
+      let o =
+        Differential.across_engines (fun engine ->
+            let env =
+              build_env ~engine ~code_rw:true
+                (smc_ic_iallu_program ~iters ~with_ic)
+            in
+            expect_brk (run env);
+            Differential.observe env.core)
+      in
+      check_int "patched sum" want o.Differential.regs.(6))
     [ true; false ]
 
 let test_flush_decode_drops_blocks () =
   let env =
-    Lz_workloads.Microbench.build ~fast:true ~blocks:true ~iters:50 "aes"
+    Lz_workloads.Microbench.build ~engine:Core.Blocks ~iters:50 "aes"
   in
   Lz_workloads.Microbench.run_to_brk env;
   let fp = env.Lz_workloads.Microbench.core.Core.fp in
@@ -522,7 +500,7 @@ let test_flush_decode_drops_blocks () =
    must each make [chain_lookup] refuse a memoized successor. *)
 let test_chain_links_severed () =
   let phys = Phys.create () in
-  let fp = Fastpath.create ~enabled:true in
+  let fp = Fastpath.create Fastpath.Blocks in
   let enc = Encoding.encode in
   let pa1 = Phys.alloc_frame phys and pa2 = Phys.alloc_frame phys in
   Phys.write32 phys pa1 (enc (Insn.Movz (1, 1, 0)));
@@ -552,6 +530,20 @@ let test_chain_links_severed () =
   Fastpath.chain_store a3 ~va:0x2000 b3;
   check_bool "severed by pa mismatch" true
     (Fastpath.chain_lookup fp phys a3 ~va:0x2000 ~pa:(pa2 + 4) = None)
+
+(* LZ_ENGINE is parsed with [engine_of_string]: exactly the three
+   names, nothing that merely looks like a flag. *)
+let test_engine_names () =
+  List.iter
+    (fun e ->
+      check_bool (Core.engine_name e) true
+        (Core.engine_of_string (Core.engine_name e) = Some e))
+    Core.engines;
+  List.iter
+    (fun s ->
+      check_bool (Printf.sprintf "%S rejected" s) true
+        (Core.engine_of_string s = None))
+    [ "1"; "true"; "" ]
 
 let () =
   Alcotest.run "lz_cpu"
@@ -593,4 +585,7 @@ let () =
           Alcotest.test_case "flush drops blocks" `Quick
             test_flush_decode_drops_blocks;
           Alcotest.test_case "chain links severed" `Quick
-            test_chain_links_severed ] ) ]
+            test_chain_links_severed ] );
+      ( "engines",
+        [ Alcotest.test_case "names round-trip" `Quick test_engine_names ] )
+    ]

@@ -606,10 +606,78 @@ let prop_lz_policy =
    (decoded-insn cache, micro-TLBs, memoized MMU context) and the
    superblock engine layered on it must both be architecturally
    invisible. Run each microbench program all three ways on a random
-   iteration count and require bit-identical registers, memory,
-   cycle/instruction totals and TLB statistics. *)
+   iteration count and require bit-identical registers, PSTATE, stack
+   pointers, memory, cycle/instruction totals and TLB statistics. *)
 
 module Core = Lz_cpu.Core
+module Differential = Lz_cpu.Differential
+
+(* Three-engine properties fail through [across_engines]' report,
+   which names the engine and the field. *)
+let engines_agree setup =
+  ignore (Differential.across_engines setup);
+  true
+
+(* A fresh EL1 core: each (va, attrs, program) gets its own frame,
+   with the program assembled at its start; pc at the first page.
+   Returns the core and the frames, in order. *)
+let fresh_core ?tracer ~engine pages =
+  let phys = Phys.create () in
+  let root = Stage1.create_root phys in
+  let pas =
+    List.map
+      (fun (va, attrs, prog) ->
+        let pa = Phys.alloc_frame phys in
+        Stage1.map_page phys ~root ~va ~pa attrs;
+        List.iteri
+          (fun i insn ->
+            Phys.write32 phys (pa + (4 * i)) (Encoding.encode insn))
+          prog;
+        pa)
+      pages
+  in
+  let core =
+    Core.create ~engine phys (Tlb.create ()) Lz_cpu.Cost_model.cortex_a55
+      Pstate.EL1
+  in
+  Core.set_tracer core tracer;
+  Sysreg.write core.Core.sys Sysreg.TTBR0_EL1 (Mmu.ttbr_value ~root ~asid:1);
+  (match pages with (va, _, _) :: _ -> core.Core.pc <- va | [] -> ());
+  (core, pas)
+
+let page ~w ~x =
+  { Pte.user = false; read_only = not w; uxn = true; pxn = not x; ng = true }
+
+let run_to_brk what core =
+  match Core.run ~max_insns:max_int core with
+  | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
+  | s -> Alcotest.failf "%s: unexpected stop %a" what Core.pp_stop s
+
+(* [run_to_brk] under the generic timer, servicing every tick
+   harness-side; returns the tick count. *)
+let run_preempted what core ~slice =
+  let iv = Core.attach_irq core in
+  Lz_irq.Irq.init iv;
+  Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles ~slice;
+  let ticks = ref 0 in
+  let rec loop () =
+    match Core.run ~max_insns:max_int core with
+    | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
+    | Core.Trap_el1 (Core.Ec_irq intid) ->
+        ignore (Lz_irq.Irq.ack iv);
+        if intid = Lz_irq.Gic.ppi_el1_timer then begin
+          incr ticks;
+          Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles
+            ~slice
+        end;
+        Core.quiesce_irq core intid;
+        Lz_irq.Irq.eoi iv intid;
+        Core.eret_from_el1 core;
+        loop ()
+    | s -> Alcotest.failf "%s: unexpected stop %a" what Core.pp_stop s
+  in
+  loop ();
+  !ticks
 
 let prop_fast_slow_equivalent =
   QCheck2.Test.make
@@ -618,11 +686,8 @@ let prop_fast_slow_equivalent =
     QCheck2.Gen.(
       pair (oneofl Lz_workloads.Microbench.names) (int_range 1 500))
     (fun (name, iters) ->
-      let open Lz_workloads.Microbench in
-      let slow = run_summary ~fast:false ~iters name in
-      let fast = run_summary ~fast:true ~blocks:false ~iters name in
-      let blk = run_summary ~fast:true ~blocks:true ~iters name in
-      slow = fast && slow = blk)
+      engines_agree (fun engine ->
+          Lz_workloads.Microbench.run_summary ~engine ~iters name))
 
 (* Self-modifying code: every iteration computes a fresh MOVZ
    encoding, stores it over the patch site in its own (writable,
@@ -630,15 +695,8 @@ let prop_fast_slow_equivalent =
    executes it. All three engines must observe each patched
    instruction at exactly the same iteration, so the accumulated sum
    in x6 (and every counter) distinguishes any stale-decode bug. *)
-let smc_summary ~fast ~blocks ~iters ~with_ic =
+let smc_observe ~iters ~with_ic engine =
   let code_va = 0x10000 in
-  let phys = Phys.create () in
-  let tlb = Tlb.create () in
-  let root = Stage1.create_root phys in
-  let code_pa = Phys.alloc_frame phys in
-  Stage1.map_page phys ~root ~va:code_va ~pa:code_pa
-    { Pte.user = false; read_only = false; uxn = true; pxn = false;
-      ng = true };
   let base = Encoding.encode (Insn.Movz (5, 0, 0)) in
   let patch_idx = 12 in
   let program =
@@ -660,21 +718,11 @@ let smc_summary ~fast ~blocks ~iters ~with_ic =
       Insn.Cbnz (0, 4 * (6 - 15));                    (* 15 *)
       Insn.Brk 0 ]                                    (* 16 *)
   in
-  List.iteri
-    (fun i insn -> Phys.write32 phys (code_pa + (4 * i))
-        (Encoding.encode insn))
-    program;
-  let core =
-    Core.create ~fast ~blocks phys tlb Lz_cpu.Cost_model.cortex_a55
-      Pstate.EL1
+  let core, pas =
+    fresh_core ~engine [ (code_va, page ~w:true ~x:true, program) ]
   in
-  Sysreg.write core.Core.sys Sysreg.TTBR0_EL1 (Mmu.ttbr_value ~root ~asid:1);
-  core.Core.pc <- code_va;
-  (match Core.run ~max_insns:max_int core with
-  | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
-  | s -> Alcotest.failf "smc: unexpected stop %a" Core.pp_stop s);
-  ( Array.init 31 (Core.reg core), core.Core.pc, core.Core.cycles,
-    core.Core.insns, Tlb.hits tlb, Tlb.misses tlb )
+  run_to_brk "smc" core;
+  Differential.observe ~pages:pas core
 
 let prop_smc_equivalent =
   QCheck2.Test.make
@@ -682,49 +730,20 @@ let prop_smc_equivalent =
     ~count:15
     QCheck2.Gen.(pair (int_range 1 200) bool)
     (fun (iters, with_ic) ->
-      let slow = smc_summary ~fast:false ~blocks:false ~iters ~with_ic in
-      let fast = smc_summary ~fast:true ~blocks:false ~iters ~with_ic in
-      let blk = smc_summary ~fast:true ~blocks:true ~iters ~with_ic in
-      let (regs, _, _, insns, _, _) = slow in
+      let o = Differential.across_engines (smc_observe ~iters ~with_ic) in
       (* sanity: the patch actually took effect at least once *)
-      regs.(6) > 0 && insns > 0 && slow = fast && slow = blk)
+      o.Differential.regs.(6) > 0 && o.Differential.insns > 0)
 
 (* Preemption slices: drive each microbench under the generic timer
    with a random slice, servicing every tick harness-side, and require
    the three engines to agree bit-for-bit — interrupts must land at
    identical instruction boundaries (the interrupt-horizon guard). *)
-let preempted_summary ~fast ~blocks ~iters ~slice name =
-  let open Lz_workloads.Microbench in
-  let env = build ~fast ~blocks ~iters name in
-  let core = env.core in
-  let iv = Core.attach_irq core in
-  Lz_irq.Irq.init iv;
-  Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles ~slice;
-  let ticks = ref 0 in
-  let rec loop () =
-    match Core.run ~max_insns:max_int core with
-    | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
-    | Core.Trap_el1 (Core.Ec_irq intid) ->
-        ignore (Lz_irq.Irq.ack iv);
-        if intid = Lz_irq.Gic.ppi_el1_timer then begin
-          incr ticks;
-          Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles
-            ~slice
-        end;
-        Core.quiesce_irq core intid;
-        Lz_irq.Irq.eoi iv intid;
-        Core.eret_from_el1 core;
-        loop ()
-    | s -> Alcotest.failf "preempt: unexpected stop %a" Core.pp_stop s
-  in
-  loop ();
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun pa -> Buffer.add_bytes buf (Phys.read_bytes core.Core.phys pa 4096))
-    env.data_pas;
-  ( Array.init 31 (Core.reg core), core.Core.pc,
-    Digest.string (Buffer.contents buf), core.Core.cycles, core.Core.insns,
-    Tlb.hits core.Core.tlb, Tlb.misses core.Core.tlb, !ticks )
+let preempted_observe ~iters ~slice name engine =
+  let env = Lz_workloads.Microbench.build ~engine ~iters name in
+  let ticks = run_preempted "preempt" env.core ~slice in
+  Differential.observe ~pages:env.data_pas
+    ~extra:[ ("ticks", string_of_int ticks) ]
+    env.core
 
 let prop_preempt_equivalent =
   QCheck2.Test.make
@@ -734,15 +753,8 @@ let prop_preempt_equivalent =
       triple (oneofl Lz_workloads.Microbench.names) (int_range 20 200)
         (int_range 97 2_000))
     (fun (name, iters, slice) ->
-      let slow = preempted_summary ~fast:false ~blocks:false ~iters ~slice
-          name in
-      let fast = preempted_summary ~fast:true ~blocks:false ~iters ~slice
-          name in
-      let blk = preempted_summary ~fast:true ~blocks:true ~iters ~slice
-          name in
-      (* tick counts are compared via the tuples; a short run with a
-         long slice may legitimately see zero ticks *)
-      slow = fast && slow = blk)
+      (* a short run with a long slice may legitimately see zero ticks *)
+      engines_agree (preempted_observe ~iters ~slice name))
 
 (* ------------------------------------------------------------------ *)
 (* Trace-tree properties. The superblock engine folds biased
@@ -883,45 +895,15 @@ let seg_gen =
           (fun z m k1 k2 -> MaskZ (z, [| 1; 3; 7; 15 |].(m), k1 + 1, k2 + 1))
           bool (int_bound 3) (int_bound 62) (int_bound 62) ])
 
-let branchy_env ?tracer ~fast ~blocks prog =
-  let phys = Phys.create () in
-  let tlb = Tlb.create () in
-  let root = Stage1.create_root phys in
-  let code_pa = Phys.alloc_frame phys in
-  let data_pa = Phys.alloc_frame phys in
-  Stage1.map_page phys ~root ~va:branchy_code_va ~pa:code_pa
-    { Pte.user = false; read_only = true; uxn = true; pxn = false;
-      ng = true };
-  Stage1.map_page phys ~root ~va:branchy_data_va ~pa:data_pa
-    { Pte.user = false; read_only = false; uxn = true; pxn = true;
-      ng = true };
-  List.iteri
-    (fun i insn ->
-      Phys.write32 phys (code_pa + (4 * i)) (Encoding.encode insn))
-    prog;
-  let core =
-    Core.create ~fast ~blocks phys tlb Lz_cpu.Cost_model.cortex_a55
-      Pstate.EL1
-  in
-  (match tracer with
-  | Some tr -> Core.set_tracer core (Some tr)
-  | None -> ());
-  Sysreg.write core.Core.sys Sysreg.TTBR0_EL1 (Mmu.ttbr_value ~root ~asid:1);
-  core.Core.pc <- branchy_code_va;
-  (core, data_pa)
+let branchy_env ?tracer ~engine prog =
+  fresh_core ?tracer ~engine
+    [ (branchy_code_va, page ~w:false ~x:true, prog);
+      (branchy_data_va, page ~w:true ~x:false, []) ]
 
-let branchy_finish (core, data_pa) =
-  ( Array.init 31 (Core.reg core), core.Core.pc,
-    Digest.bytes (Phys.read_bytes core.Core.phys data_pa 4096),
-    core.Core.cycles, core.Core.insns, Tlb.hits core.Core.tlb,
-    Tlb.misses core.Core.tlb )
-
-let branchy_summary ?tracer ~fast ~blocks prog =
-  let ((core, _) as env) = branchy_env ?tracer ~fast ~blocks prog in
-  (match Core.run ~max_insns:max_int core with
-  | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
-  | s -> Alcotest.failf "branchy: unexpected stop %a" Core.pp_stop s);
-  branchy_finish env
+let branchy_observe ?tracer prog engine =
+  let core, pas = branchy_env ?tracer ~engine prog in
+  run_to_brk "branchy" core;
+  Differential.observe ~pages:pas core
 
 let prop_branchy_equivalent =
   QCheck2.Test.make
@@ -929,42 +911,17 @@ let prop_branchy_equivalent =
     ~count:40
     QCheck2.Gen.(pair (list_size (int_range 1 4) seg_gen) (int_range 1 400))
     (fun (segs, iters) ->
-      let prog = assemble (branchy_items segs iters) in
-      let slow = branchy_summary ~fast:false ~blocks:false prog in
-      let fast = branchy_summary ~fast:true ~blocks:false prog in
-      let blk = branchy_summary ~fast:true ~blocks:true prog in
-      slow = fast && slow = blk)
+      engines_agree (branchy_observe (assemble (branchy_items segs iters))))
 
 (* Preemption slices landing anywhere — including inside a side-exit
    stub, between a block's early exit and the dispatcher's re-entry —
    must deliver the IRQ at the identical instruction boundary as the
    per-insn engines (the PR 4 transparency property, extended to
    trace trees over the branchy generator). *)
-let branchy_preempted_summary ~fast ~blocks ~slice prog =
-  let ((core, _) as env) = branchy_env ~fast ~blocks prog in
-  let iv = Core.attach_irq core in
-  Lz_irq.Irq.init iv;
-  Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles ~slice;
-  let ticks = ref 0 in
-  let rec loop () =
-    match Core.run ~max_insns:max_int core with
-    | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
-    | Core.Trap_el1 (Core.Ec_irq intid) ->
-        ignore (Lz_irq.Irq.ack iv);
-        if intid = Lz_irq.Gic.ppi_el1_timer then begin
-          incr ticks;
-          Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles
-            ~slice
-        end;
-        Core.quiesce_irq core intid;
-        Lz_irq.Irq.eoi iv intid;
-        Core.eret_from_el1 core;
-        loop ()
-    | s -> Alcotest.failf "branchy preempt: unexpected stop %a" Core.pp_stop s
-  in
-  loop ();
-  let summary = branchy_finish env in
-  (summary, !ticks)
+let branchy_preempted_observe ~slice prog engine =
+  let core, pas = branchy_env ~engine prog in
+  let ticks = run_preempted "branchy preempt" core ~slice in
+  Differential.observe ~pages:pas ~extra:[ ("ticks", string_of_int ticks) ] core
 
 let prop_branchy_preempt_equivalent =
   QCheck2.Test.make
@@ -975,18 +932,12 @@ let prop_branchy_preempt_equivalent =
         (int_range 97 1500))
     (fun (segs, iters, slice) ->
       let prog = assemble (branchy_items segs iters) in
-      let slow = branchy_preempted_summary ~fast:false ~blocks:false ~slice
-          prog in
-      let fast = branchy_preempted_summary ~fast:true ~blocks:false ~slice
-          prog in
-      let blk = branchy_preempted_summary ~fast:true ~blocks:true ~slice
-          prog in
-      slow = fast && slow = blk)
+      engines_agree (branchy_preempted_observe ~slice prog))
 
 (* Block-aware traced dispatch: with PC markers planted at random
-   instructions of the code page, the blocks engine must emit the
-   exact event stream (same payloads, same order, same cycle stamps)
-   as the per-insn fast path, on top of an identical summary. *)
+   instructions of the code page, every engine must emit the exact
+   event stream (same payloads, same order, same cycle stamps) as the
+   slow one, on top of an identical observation. *)
 let prop_branchy_traced_equivalent =
   QCheck2.Test.make
     ~name:"core: block-aware tracing emits identical event streams"
@@ -997,21 +948,18 @@ let prop_branchy_traced_equivalent =
     (fun (segs, iters, marks) ->
       let prog = assemble (branchy_items segs iters) in
       let n = List.length prog in
-      let run blocks =
-        let tr = Trace.create ~capacity:100_000 () in
-        List.iteri
-          (fun i idx ->
-            Trace.add_marker tr
-              ~pc:(branchy_code_va + (4 * (idx mod n)))
-              (Trace.Syscall { nr = i }))
-          marks;
-        let s = branchy_summary ~tracer:tr ~fast:true ~blocks prog in
-        ( s,
-          List.map
-            (fun (e : Trace.event) -> (e.Trace.seq, e.Trace.cycles, e.Trace.payload))
-            (Trace.events tr) )
-      in
-      run false = run true)
+      engines_agree (fun engine ->
+          let tr = Trace.create ~capacity:100_000 () in
+          List.iteri
+            (fun i idx ->
+              Trace.add_marker tr
+                ~pc:(branchy_code_va + (4 * (idx mod n)))
+                (Trace.Syscall { nr = i }))
+            marks;
+          let o = branchy_observe ~tracer:tr prog engine in
+          let events = List.map Trace.event_to_json (Trace.events tr) in
+          { o with
+            Differential.extra = [ ("events", String.concat "\n" events) ] }))
 
 (* SMC at a cross-page side-exit target. Page A's loop folds a
    mostly-not-taken CBZ whose cold direction branches onto page B;
@@ -1020,20 +968,8 @@ let prop_branchy_traced_equivalent =
    optionally IC IALLU, and jumps back. A side-exit chain memo that
    skips revalidating the *target* page's generation (or the IALLU
    epoch) replays the stale decode and shifts the accumulator. *)
-let sx_smc_summary ~fast ~blocks ~iters ~with_ic =
+let sx_smc_observe ~iters ~with_ic engine =
   let page_a = 0x10000 and page_b = 0x11000 in
-  let phys = Phys.create () in
-  let tlb = Tlb.create () in
-  let root = Stage1.create_root phys in
-  let pa_a = Phys.alloc_frame phys in
-  let pa_b = Phys.alloc_frame phys in
-  let wx va pa =
-    Stage1.map_page phys ~root ~va ~pa
-      { Pte.user = false; read_only = false; uxn = true; pxn = false;
-        ng = true }
-  in
-  wx page_a pa_a;
-  wx page_b pa_b;
   let base = Encoding.encode (Insn.Movz (5, 0, 0)) in
   let prog_a =
     [ Insn.Movz (0, iters, 0);                      (*  0 *)
@@ -1059,24 +995,12 @@ let sx_smc_summary ~fast ~blocks ~iters ~with_ic =
       (if with_ic then Insn.Ic_iallu else Insn.Nop);(* b6 *)
       Insn.B (page_a + (4 * 8) - (page_b + (4 * 7))) ]  (* b7: back to cont *)
   in
-  let load pa prog =
-    List.iteri
-      (fun i insn ->
-        Phys.write32 phys (pa + (4 * i)) (Encoding.encode insn))
-      prog
+  let wx = page ~w:true ~x:true in
+  let core, pas =
+    fresh_core ~engine [ (page_a, wx, prog_a); (page_b, wx, prog_b) ]
   in
-  load pa_a prog_a;
-  load pa_b prog_b;
-  let core =
-    Core.create ~fast ~blocks phys tlb Lz_cpu.Cost_model.cortex_a55
-      Pstate.EL1
-  in
-  Sysreg.write core.Core.sys Sysreg.TTBR0_EL1 (Mmu.ttbr_value ~root ~asid:1);
-  core.Core.pc <- page_a;
-  (match Core.run ~max_insns:max_int core with
-  | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
-  | s -> Alcotest.failf "sx smc: unexpected stop %a" Core.pp_stop s);
-  if blocks && iters >= 64 then begin
+  run_to_brk "sx smc" core;
+  if engine = Core.Blocks && iters >= 64 then begin
     let st = Fastpath.stats core.Core.fp in
     if st.Fastpath.folds = 0 || st.Fastpath.side_exits = 0 then
       Alcotest.failf
@@ -1087,8 +1011,7 @@ let sx_smc_summary ~fast ~blocks ~iters ~with_ic =
         st.Fastpath.folds st.Fastpath.side_exits st.Fastpath.retrains iters
         with_ic
   end;
-  ( Array.init 31 (Core.reg core), core.Core.pc, core.Core.cycles,
-    core.Core.insns, Tlb.hits tlb, Tlb.misses tlb )
+  Differential.observe ~pages:pas core
 
 let prop_sx_smc_equivalent =
   QCheck2.Test.make
@@ -1096,11 +1019,8 @@ let prop_sx_smc_equivalent =
     ~count:15
     QCheck2.Gen.(pair (int_range 8 200) bool)
     (fun (iters, with_ic) ->
-      let slow = sx_smc_summary ~fast:false ~blocks:false ~iters ~with_ic in
-      let fast = sx_smc_summary ~fast:true ~blocks:false ~iters ~with_ic in
-      let blk = sx_smc_summary ~fast:true ~blocks:true ~iters ~with_ic in
-      let (regs, _, _, _, _, _) = slow in
-      regs.(6) > 0 && slow = fast && slow = blk)
+      let o = Differential.across_engines (sx_smc_observe ~iters ~with_ic) in
+      o.Differential.regs.(6) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-around equivalence: clustering demand faults (and the
@@ -1194,18 +1114,18 @@ let prop_fault_around_equivalent =
    deliberately tiny ASID space — generation rollovers and
    whole-context flushes fire mid-churn — and a full 14-bit oracle
    where every table gets a fresh ASID. Recycling must be
-   architecturally invisible: outcome, pc, instruction count, zone
-   data and final registers agree bit-for-bit. Two exclusions, both
-   inherent to what recycling is: the ASID field (bits 48+) is masked
-   out of registers, because gate scratch registers legitimately hold
-   the TTBR value just installed and its ASID differs by construction;
-   cycles and TLB statistics are not digested, because rollover
-   flushes legitimately cost refills. Runs across the fast engines and
-   under preemption slices. *)
+   architecturally invisible: outcome, pc, stack pointers, PSTATE,
+   instruction count, zone data and final registers agree
+   bit-for-bit. Two exclusions, both inherent to what recycling is:
+   the ASID field (bits 48+) is masked out of registers, because gate
+   scratch registers legitimately hold the TTBR value just installed
+   and its ASID differs by construction; cycles and TLB statistics are
+   masked, because rollover flushes legitimately cost refills. Runs
+   across every engine and under preemption slices. *)
 
 let asid_field_mask = lnot (0x3FFF lsl Mmu.asid_shift)
 
-let churn_digest ~asid_bits ~fast ~blocks ~churn ~slice =
+let churn_observe ~asid_bits ~engine ~churn ~slice =
   let machine = Lz_kernel.Machine.create () in
   let kernel = Lz_kernel.Kernel.create machine Lz_kernel.Kernel.Host_vhe in
   let proc = Lz_kernel.Kernel.create_process kernel in
@@ -1219,8 +1139,7 @@ let churn_digest ~asid_bits ~fast ~blocks ~churn ~slice =
       kernel proc
   in
   let core = t.Kmod.core in
-  Core.set_fast core fast;
-  Core.set_blocks core blocks;
+  Core.set_engine core engine;
   (* A long-lived tenant parked across the churn, and one allocated
      after it — the latter's table carries a recycled ASID in the
      small space and a fresh one in the oracle. *)
@@ -1264,28 +1183,35 @@ let churn_digest ~asid_bits ~fast ~blocks ~churn ~slice =
               Insn.Ldr (4, 0, 8 * i) ])));
   Builder.emit b [ Insn.Brk 0 ];
   Api.load_and_register t b ~va:code_va;
-  let outcome = Kmod.run t in
-  let regs =
-    Array.init 31 (fun i -> Core.reg core i land asid_field_mask)
+  let outcome = Format.asprintf "%a" Kmod.pp_outcome (Kmod.run t) in
+  let zones =
+    Lz_kernel.Kernel.read_user kernel proc ~va:domains_va ~len:0x2000
   in
-  ( Format.asprintf "%a" Kmod.pp_outcome outcome, regs, core.Core.pc,
-    core.Core.insns )
+  let o =
+    Differential.observe core
+      ~extra:
+        [ ("outcome", outcome); ("zones", Digest.to_hex (Digest.bytes zones)) ]
+  in
+  { o with
+    Differential.regs = Array.map (fun r -> r land asid_field_mask) o.regs;
+    cycles = 0; tlb_hits = 0; tlb_misses = 0 }
 
 let prop_asid_recycling_transparent =
   QCheck2.Test.make
     ~name:"lightzone: ASID recycling is architecturally invisible"
     ~count:6
-    ~print:(fun (churn, (fast, blocks), slice) ->
-      Printf.sprintf "churn=%d fast=%b blocks=%b slice=%d" churn fast blocks
-        slice)
+    ~print:(fun (churn, engine, slice) ->
+      Printf.sprintf "churn=%d engine=%s slice=%d" churn
+        (Core.engine_name engine) slice)
     QCheck2.Gen.(
-      triple (int_range 20 120)
-        (oneofl [ (false, false); (true, false); (true, true) ])
+      triple (int_range 20 120) (oneofl Core.engines)
         (oneofl [ 0; 0; 53; 131 ]))
-    (fun (churn, (fast, blocks), slice) ->
-      let small = churn_digest ~asid_bits:4 ~fast ~blocks ~churn ~slice in
-      let oracle = churn_digest ~asid_bits:14 ~fast ~blocks ~churn ~slice in
-      small = oracle)
+    (fun (churn, engine, slice) ->
+      let small = churn_observe ~asid_bits:4 ~engine ~churn ~slice in
+      let oracle = churn_observe ~asid_bits:14 ~engine ~churn ~slice in
+      match Differential.diff small oracle with
+      | None -> true
+      | Some d -> QCheck2.Test.fail_report d)
 
 let () =
   Alcotest.run "lz_props"

@@ -53,8 +53,8 @@ let compute_program ~iters ~mark =
     Movz (0, mark, 0);
     Svc 0 ]
 
-let build_compute ?fast ?blocks ~cores ~quantum ~iters () =
-  let t = Smp.create ?fast ?blocks ~cores ~quantum () in
+let build_compute ?engine ~cores ~quantum ~iters () =
+  let t = Smp.create ?engine ~cores ~quantum () in
   for i = 0 to cores - 1 do
     let kernel = Kernel.create (Smp.slot_machine t i) Kernel.Host_vhe in
     let proc = Kernel.create_process kernel in
@@ -82,41 +82,42 @@ let outcomes_str os =
 (* Tentpole property: the parallel drive (one host domain per core)
    is bit-identical to the sequential oracle — same outcomes, same
    per-core architectural digests, same merged traced event stream —
-   across 1/2/4 cores, two quantum sizes, blocks on and off. *)
+   across 1/2/4 cores, two quantum sizes and every engine. *)
 
 let prop_seq_par_identical =
   QCheck2.Test.make
     ~name:"parallel domains ≡ sequential oracle (digest + trace)"
     ~count:12
     QCheck2.Gen.(
-      quad (oneofl [ 1; 2; 4 ]) (oneofl [ 2_000; 7_919 ]) bool
+      quad (oneofl [ 1; 2; 4 ]) (oneofl [ 2_000; 7_919 ]) (oneofl Core.engines)
         (int_range 60 400))
-    (fun (cores, quantum, blocks, iters) ->
-      let a = build_compute ~fast:true ~blocks ~cores ~quantum ~iters () in
-      let b = build_compute ~fast:true ~blocks ~cores ~quantum ~iters () in
+    (fun (cores, quantum, engine, iters) ->
+      let a = build_compute ~engine ~cores ~quantum ~iters () in
+      let b = build_compute ~engine ~cores ~quantum ~iters () in
       let oa = Smp.run ~parallel:false a in
       let ob = Smp.run ~parallel:true b in
       oa = ob
       && Smp.digests a = Smp.digests b
       && Smp.merged_trace a = Smp.merged_trace b)
 
-(* The existing three-way engine differential, per core: the slow,
-   per-instruction and superblock engines agree on every core's final
-   architectural digest (cycles and retired counts included). *)
+(* The three-way engine differential, per core: the slow,
+   per-instruction and superblock engines agree on core 0's full
+   observation and on every core's final architectural digest (cycles
+   and retired counts included). *)
 let prop_engine_differential =
   QCheck2.Test.make ~name:"slow ≡ per-insn ≡ blocks, per core" ~count:6
     QCheck2.Gen.(
       triple (oneofl [ 2; 4 ]) (oneofl [ 2_000; 7_919 ]) (int_range 60 300))
     (fun (cores, quantum, iters) ->
-      let run ~fast ~blocks =
-        let t = build_compute ~fast ~blocks ~cores ~quantum ~iters () in
+      let observe engine =
+        let t = build_compute ~engine ~cores ~quantum ~iters () in
         let os = Smp.run t in
-        (os, Smp.digests t)
+        let digests = String.concat " " (Array.to_list (Smp.digests t)) in
+        Differential.observe (Smp.slot t 0).Smp.core
+          ~extra:[ ("outcomes", outcomes_str os); ("digests", digests) ]
       in
-      let slow = run ~fast:false ~blocks:false in
-      let per_insn = run ~fast:true ~blocks:false in
-      let blocks = run ~fast:true ~blocks:true in
-      slow = per_insn && per_insn = blocks)
+      ignore (Differential.across_engines observe);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Shootdown regression: core 0 munmaps a page both cores share; core

@@ -122,10 +122,10 @@ let endstate (z : Kmod.t) =
 (* Run a warm slice to completion, snapshotting at the [k]-th
    quiescent point along the way; then restore and re-run. Both
    completions must agree on every observable. *)
-let snapshot_transparency ~blocks ~preempt ~domains ~n ~k () =
+let snapshot_transparency ~engine ~preempt ~domains ~n ~k () =
   let r = Sb.prepare ?preempt cm ~env:Sb.Host ~domains ~n in
   let z = r.Sb.t in
-  Core.set_blocks z.Kmod.core blocks;
+  Core.set_engine z.Kmod.core engine;
   let snap = ref None in
   let seen = ref 0 in
   z.Kmod.on_quiescent <-
@@ -162,27 +162,28 @@ let check_endstates (a, b) =
 
 let test_snapshot_transparency_preempted () =
   check_endstates
-    (snapshot_transparency ~blocks:true ~preempt:(Some 3000) ~domains:8
-       ~n:400 ~k:3 ())
+    (snapshot_transparency ~engine:Core.Blocks ~preempt:(Some 3000)
+       ~domains:8 ~n:400 ~k:3 ())
 
 let test_snapshot_transparency_no_blocks () =
   check_endstates
-    (snapshot_transparency ~blocks:false ~preempt:(Some 3000) ~domains:8
-       ~n:400 ~k:3 ())
+    (snapshot_transparency ~engine:Core.Per_insn ~preempt:(Some 3000)
+       ~domains:8 ~n:400 ~k:3 ())
 
 let test_snapshot_transparency_cooperative () =
   check_endstates
-    (snapshot_transparency ~blocks:true ~preempt:None ~domains:4 ~n:100 ~k:1
-       ())
+    (snapshot_transparency ~engine:Core.Blocks ~preempt:None ~domains:4
+       ~n:100 ~k:1 ())
 
 let prop_snapshot_transparency =
   QCheck.Test.make ~count:12 ~name:"snapshot/restore/run == uninterrupted run"
     QCheck.(
-      quad (int_range 1 8) (int_range 50 400) bool (int_range 1 6))
-    (fun (domains, n, blocks, k) ->
+      quad (int_range 1 8) (int_range 50 400) (oneofl Core.engines)
+        (int_range 1 6))
+    (fun (domains, n, engine, k) ->
       let slice = 1000 + (397 * k) in
       let a, b =
-        snapshot_transparency ~blocks ~preempt:(Some slice) ~domains ~n ~k ()
+        snapshot_transparency ~engine ~preempt:(Some slice) ~domains ~n ~k ()
       in
       a = b)
 

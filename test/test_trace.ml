@@ -269,25 +269,30 @@ let test_traced_run_coverage () =
     (try List.assoc "domain_switch" rep.Span.points with Not_found -> 0)
 
 (* ------------------------------------------------------------------ *)
-(* Superblock engine under trace: traced runs fall back to the
-   per-instruction loop, so toggling the block layer must leave a
-   traced 128-domain Table 5 run completely untouched — byte-identical
-   event stream, identical architectural digest, full span coverage. *)
+(* Superblock engine under trace: traced runs stay on the block-aware
+   dispatcher, and switching the process default engine between it and
+   the per-insn engine must leave a traced 128-domain Table 5 run
+   completely untouched — byte-identical event stream, identical
+   architectural digest, full span coverage. The default is restored
+   even if a run raises, so later tests keep the engine they expect. *)
 
 let test_blocks_invisible_under_trace () =
-  let run () =
+  let run engine =
+    Core.default_engine := engine;
     (* Pin the global VMID allocator so the flush events of two
        complete runs can be compared byte-for-byte. *)
     Lightzone.Api.next_vmid := 0x100;
     Lz_eval.Switch_bench.traced_run ~fast_paths:true Cost_model.cortex_a55
       ~env:Lz_eval.Switch_bench.Host ~domains:128 ~n:300
   in
-  let saved = !Fastpath.default_blocks in
-  Fastpath.default_blocks := true;
-  let on = run () in
-  Fastpath.default_blocks := false;
-  let off = run () in
-  Fastpath.default_blocks := saved;
+  let saved = !Core.default_engine in
+  let on, off =
+    Fun.protect
+      ~finally:(fun () -> Core.default_engine := saved)
+      (fun () ->
+        let on = run Core.Blocks in
+        (on, run Core.Per_insn))
+  in
   let bytes (r : Lz_eval.Switch_bench.traced) =
     String.concat "\n" (List.map Trace.event_to_json (Trace.events r.trace))
   in
@@ -395,27 +400,12 @@ let test_forwarded_trap_attribution () =
 (* ------------------------------------------------------------------ *)
 (* Tracing is architecturally invisible *)
 
-type summary = {
-  regs : int array;
-  pc : int;
-  cycles : int;
-  insns : int;
-  hits : int;
-  misses : int;
-}
-
-let summarize ?(fast = true) ~traced ~iters name =
+let observe ?engine ~traced ~iters name =
   let open Lz_workloads.Microbench in
-  let env = build ~fast ~iters name in
+  let env = build ?engine ~iters name in
   if traced then Core.set_tracer env.core (Some (Trace.create ()));
   run_to_brk env;
-  let core = env.core in
-  { regs = Array.init 31 (Core.reg core);
-    pc = core.Core.pc;
-    cycles = core.Core.cycles;
-    insns = core.Core.insns;
-    hits = Tlb.hits core.Core.tlb;
-    misses = Tlb.misses core.Core.tlb }
+  Differential.observe ~pages:env.data_pas env.core
 
 let prop_tracing_invisible =
   QCheck2.Test.make
@@ -424,9 +414,10 @@ let prop_tracing_invisible =
     QCheck2.Gen.(
       pair (oneofl Lz_workloads.Microbench.names) (int_range 1 400))
     (fun (name, iters) ->
-      let off = summarize ~traced:false ~iters name in
-      let on = summarize ~traced:true ~iters name in
-      off = on)
+      let off = observe ~traced:false ~iters name in
+      match Differential.diff off (observe ~traced:true ~iters name) with
+      | None -> true
+      | Some d -> QCheck2.Test.fail_report d)
 
 (* ------------------------------------------------------------------ *)
 (* Trap fast paths shrink the hot spans: with the Lowvisor
@@ -480,9 +471,10 @@ let prop_fast_slow_with_tracing =
     QCheck2.Gen.(
       pair (oneofl Lz_workloads.Microbench.names) (int_range 1 400))
     (fun (name, iters) ->
-      let fast = summarize ~fast:true ~traced:true ~iters name in
-      let slow = summarize ~fast:false ~traced:true ~iters name in
-      fast = slow)
+      ignore
+        (Differential.across_engines (fun engine ->
+             observe ~engine ~traced:true ~iters name));
+      true)
 
 let () =
   Alcotest.run "lz_trace"
