@@ -31,7 +31,10 @@
    `--check [FILE]` additionally reads the committed BENCH_scale.json
    before overwriting it and exits 1 if MIPS at the top K regressed
    more than 20% (LZ_BENCH_TOLERANCE overrides). Baselines from a
-   different mode (smoke vs full) are skipped — not comparable.
+   different mode (smoke vs full) are skipped — not comparable. A
+   baseline from another dune profile ("build_profile") fails the
+   check instead: a silently skipped gate would hide that the build
+   changed under the committed numbers.
 
    Emits BENCH_scale.json. `--smoke` is the CI variant. *)
 
@@ -227,11 +230,12 @@ let baseline_top_mips json ~zones =
       | None -> None
       | Some at -> number_after json ~from:at)
 
-let baseline_mode json =
-  match str_index json "\"mode\":" ~from:0 with
+let baseline_string json key =
+  let pat = Printf.sprintf "%S:" key in
+  match str_index json pat ~from:0 with
   | None -> None
   | Some at -> (
-      match str_index json "\"" ~from:(at + 7) with
+      match str_index json "\"" ~from:(at + String.length pat) with
       | None -> None
       | Some q -> (
           match str_index json "\"" ~from:(q + 1) with
@@ -310,10 +314,11 @@ let () =
         r.cycles_per_switch r.rollovers r.recycled r.pgt_high_water
     in
     Printf.sprintf
-      "{\n  \"bench\": \"scale\",\n  \"mode\": %S,\n  \"asid_bits\": %d,\n  \
-       \"serve_iters\": %d,\n  \"zero_alloc_marginal_words_per_switch\": \
-       { \"blocks\": %.4f, \"per_insn\": %.4f },\n  \"rows\": [\n%s\n  ]\n}\n"
-      mode asid_bits iters marginal_blocks marginal_insn
+      "{\n  \"bench\": \"scale\",\n  \"build_profile\": %S,\n  \
+       \"mode\": %S,\n  \"asid_bits\": %d,\n  \"serve_iters\": %d,\n  \
+       \"zero_alloc_marginal_words_per_switch\": { \"blocks\": %.4f, \
+       \"per_insn\": %.4f },\n  \"rows\": [\n%s\n  ]\n}\n"
+      Build_profile.name mode asid_bits iters marginal_blocks marginal_insn
       (String.concat ",\n" (List.map item rows))
   in
   let out = open_out "BENCH_scale.json" in
@@ -360,8 +365,19 @@ let () =
   (match baseline with
   | None -> ()
   | Some (path, base) -> (
-      match baseline_mode base with
-      | Some m when m <> mode ->
+      match
+        (baseline_string base "build_profile", baseline_string base "mode")
+      with
+      | p, _ when p <> Some Build_profile.name ->
+          failures :=
+            Printf.sprintf
+              "baseline %s was built in the %s profile, this binary in %s — \
+               MIPS are not comparable"
+              path
+              (Option.value p ~default:"none")
+              Build_profile.name
+            :: !failures
+      | _, Some m when m <> mode ->
           Printf.printf
             "scale: baseline %s is a %s run, this is %s — MIPS check \
              skipped\n%!"

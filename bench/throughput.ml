@@ -22,7 +22,9 @@
    formation gains must not silently reopen). Baselines taken at a
    different iteration count are skipped — smoke and full runs are
    not comparable — and the absolute floors only apply to full-size
-   runs, where timing noise is amortized. *)
+   runs, where timing noise is amortized. A baseline recorded by a
+   binary of another dune profile ("build_profile") fails the check
+   outright: its MIPS say nothing about this build's. *)
 
 open Lz_workloads
 module Core = Lz_cpu.Core
@@ -163,6 +165,14 @@ let baseline_field json name key =
 let baseline_fast_mips json name = baseline_field json name "mips"
 let baseline_block_speedup json name = baseline_field json name "block_speedup"
 
+let baseline_profile json =
+  match str_index json "\"build_profile\": \"" ~from:0 with
+  | None -> None
+  | Some at ->
+      Option.map
+        (fun q -> String.sub json at (q - at - 1))
+        (str_index json "\"" ~from:at)
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -269,9 +279,9 @@ let () =
         speedup blk_speedup traced_speedup
     in
     Printf.sprintf
-      "{\n  \"bench\": \"throughput\",\n  \"iters\": %d,\n  \"results\": \
-       [\n%s\n  ]\n}\n"
-      iters
+      "{\n  \"bench\": \"throughput\",\n  \"build_profile\": %S,\n  \
+       \"iters\": %d,\n  \"results\": [\n%s\n  ]\n}\n"
+      Build_profile.name iters
       (String.concat ",\n"
          (List.map item results))
   in
@@ -282,6 +292,14 @@ let () =
   match baseline with
   | None -> ()
   | Some (path, base) -> (
+      let profile = Option.value (baseline_profile base) ~default:"none" in
+      if profile <> Build_profile.name then begin
+        Printf.eprintf
+          "throughput: baseline %s was built in the %s profile, this binary \
+           in %s — MIPS are not comparable\n"
+          path profile Build_profile.name;
+        exit 1
+      end;
       match baseline_iters base with
       | Some bi when bi <> iters ->
           Printf.printf

@@ -1,4 +1,4 @@
-let mask n =
+let[@inline] mask n =
   assert (n >= 0 && n <= 62);
   (1 lsl n) - 1
 

@@ -308,7 +308,7 @@ let name = function
   | ICC_RPR_EL1 -> "ICC_RPR_EL1"
   | ICC_SGI1R_EL1 -> "ICC_SGI1R_EL1"
 
-let min_el r =
+let[@inline] min_el r =
   match (encoding r).op1 with
   | 3 -> Pstate.EL0
   | 4 -> Pstate.EL2
@@ -417,7 +417,7 @@ type file = {
 let create_file () : file =
   { v = Array.make nregs 0; mmu_gen = 0; dbg_gen = 0 }
 
-let read (f : file) r = f.v.(index r)
+let[@inline] read (f : file) r = f.v.(index r)
 
 let write (f : file) r x =
   f.v.(index r) <- x;

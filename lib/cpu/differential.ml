@@ -31,7 +31,6 @@ let observe ?(pages = []) ?(extra = []) (core : Core.t) =
     mem = Digest.to_hex (Digest.string (Buffer.contents buf));
     extra }
 
-(* Every field as (name, rendered value), in comparison order. *)
 let fields o =
   let hex = Printf.sprintf "0x%x" and dec = string_of_int in
   List.init 31 (fun i -> (Printf.sprintf "x%d" i, hex o.regs.(i)))

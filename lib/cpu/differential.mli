@@ -29,6 +29,11 @@ type t = {
 val observe : ?pages:int list -> ?extra:(string * string) list -> Core.t -> t
 (** [pages] are physical addresses of 4 KiB frames to digest. *)
 
+val fields : t -> (string * string) list
+(** Every field as (name, rendered value), in comparison order:
+    x0..x30, pc, sp_el0, sp_el1, pstate, cycles, insns, tlb_hits,
+    tlb_misses, mem, then [extra]. *)
+
 val diff : t -> t -> string option
 (** The first field in which the two observations differ, with both
     values (for a multi-line value, the first differing line). *)

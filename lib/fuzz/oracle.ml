@@ -516,6 +516,12 @@ let kernel_outcome_string = function
   | Kernel.Segv why -> "segv:" ^ why
   | Kernel.Limit_reached -> "limit"
 
+let core_state core =
+  String.concat ","
+    (List.map
+       (fun (n, v) -> n ^ "=" ^ v)
+       (Lz_cpu.Differential.fields (Lz_cpu.Differential.observe core)))
+
 let run_smp_engine cm (c : Fuzz_case.t) engine =
   let machine = Machine.create ~cost:cm () in
   let kernel = Kernel.create machine Kernel.Host_vhe in
@@ -584,12 +590,7 @@ let run_smp_engine cm (c : Fuzz_case.t) engine =
       outs;
     Array.iteri
       (fun i core ->
-        Buffer.add_string b
-          (Printf.sprintf "c%d:pc=%x,cyc=%d,ins=%d;" i core.Core.pc
-             core.Core.cycles core.Core.insns);
-        for r = 0 to 30 do
-          Buffer.add_string b (Printf.sprintf "%x," (Core.reg core r))
-        done)
+        Buffer.add_string b (Printf.sprintf "c%d:%s;" i (core_state core)))
       cores;
     Buffer.add_string b
       (Printf.sprintf "sched:p=%d,t=%d,ipi=%d,sd=%d,mig=%d;"

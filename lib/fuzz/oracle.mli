@@ -59,6 +59,12 @@ type result = {
 
 val run_case : env -> Fuzz_case.t -> result
 
+val core_state : Lz_cpu.Core.t -> string
+(** One core's part of the smp-race digest: every field
+    {!Lz_cpu.Differential.observe} records (x0-x30, pc, SP_EL0, SP_EL1,
+    PSTATE, cycles, insns, TLB hits and misses), rendered by
+    {!Lz_cpu.Differential.fields}. *)
+
 val keys_of : Fuzz_case.t -> run -> string list
 val signature : string list -> string
 (** Hex digest of a sorted key list — the corpus index key. *)

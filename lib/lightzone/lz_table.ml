@@ -105,15 +105,17 @@ let set_attrs t ~va attrs =
 let mapped t ~va =
   leaf_pte_addr t ~table_real:t.root_real ~level:0 ~va <> None
 
+(* Children are freed in descriptor-index order; zero descriptors are
+   never tables, so only the nonzero words are visited. *)
 let rec free_tables t ~table_real ~level =
   if level < 3 then
-    for i = 0 to 511 do
-      let pte = Phys.read64 t.phys (table_real + (8 * i)) in
-      if Pte.is_table ~level pte then
-        match Fake_phys.real_of_fake t.fake (Pte.out_addr pte) with
-        | Some real -> free_tables t ~table_real:real ~level:(level + 1)
-        | None -> ()
-    done;
+    List.iter
+      (fun pte ->
+        if Pte.is_table ~level pte then
+          match Fake_phys.real_of_fake t.fake (Pte.out_addr pte) with
+          | Some real -> free_tables t ~table_real:real ~level:(level + 1)
+          | None -> ())
+      (Phys.nonzero_words t.phys table_real);
   Stage2.unmap t.phys ~root:t.s2_root
     ~ipa:(match Fake_phys.fake_of_real t.fake table_real with
          | Some f -> f

@@ -36,7 +36,7 @@ let rec bucket keys mask k i =
   let k' = keys.(i) in
   if k' = k || k' = empty then i else bucket keys mask k ((i + 1) land mask)
 
-let find t k =
+let[@inline] find t k =
   let i = bucket t.keys t.mask k (home t k) in
   if t.keys.(i) = k then t.vals.(i) else -1
 

@@ -46,7 +46,8 @@ let ttbr_asid v = (v lsr asid_shift) land asid_mask
    - A page accessible at EL0 is never privileged-executable (treated
      as PXN at EL1), independent of PAN.
    - LDTR/STTR ([unpriv]) are checked exactly as EL0 accesses. *)
-let s1_allows ~(el : Pstate.el) ~pan ~unpriv (a : Pte.s1_attrs) access =
+let[@inline] s1_allows ~(el : Pstate.el) ~pan ~unpriv (a : Pte.s1_attrs)
+    access =
   let as_user = el = Pstate.EL0 || unpriv in
   match access with
   | Read -> if as_user then a.user else (not a.user) || not pan
@@ -139,14 +140,14 @@ let note_refill tlb access =
 
 let select_ttbr ctx va = if Bits.bit va 47 then ctx.ttbr1 else ctx.ttbr0
 
-let va_asid ctx ~va = ttbr_asid (select_ttbr ctx va)
+let[@inline] va_asid ctx ~va = ttbr_asid (select_ttbr ctx va)
 
 (* Allocation-free fast path over a front-cache hit: permission-check
    the cached entry and return the PA directly, raising [Fault] with
    exactly the fault the Result-based TLB-hit path would produce. *)
 exception Fault of fault
 
-let entry_pa_exn ctx access ~va (e : Tlb.entry) =
+let[@inline] entry_pa_exn ctx access ~va (e : Tlb.entry) =
   if not (s1_allows ~el:ctx.el ~pan:ctx.pan ~unpriv:ctx.unpriv e.attrs access)
   then
     raise

@@ -198,7 +198,7 @@ let decref st slot =
 (* ------------------------------------------------------------------ *)
 (* Frame map *)
 
-let slot_of t n =
+let[@inline] slot_of t n =
   let m = t.map in
   if n < Array.length m.slot_of then m.slot_of.(n) else -1
 
@@ -236,7 +236,7 @@ let bump_gen t n =
   end;
   m.gens.(n) <- m.gens.(n) + 1
 
-let page_gen t pa =
+let[@inline] page_gen t pa =
   let n = pa / page_size in
   let gens = t.map.gens in
   if n < Array.length gens then gens.(n) else 0
@@ -252,7 +252,7 @@ let forget_frame t n =
 
 (* Word base of frame [n]'s slot for reading; -1 when the frame is a
    hole (reads as zero). Shared slots are fine to read. *)
-let ro_base t n =
+let[@inline] ro_base t n =
   if n = t.last_n then t.last_base
   else begin
     let slot = slot_of t n in
@@ -419,7 +419,7 @@ let write8 t pa v =
   Bigarray.Array1.unsafe_set t.store.arena i w;
   bump_gen t n
 
-let read32 t pa =
+let[@inline] read32 t pa =
   let off = pa land 4095 in
   if off <= 4092 && pa land 7 <= 4 then begin
     let base = ro_base t (pa / page_size) in
@@ -454,7 +454,7 @@ let write32 t pa v =
       write8 t (pa + i) ((v lsr (8 * i)) land 0xFF)
     done
 
-let read64 t pa =
+let[@inline] read64 t pa =
   if pa land 7 = 0 then begin
     let base = ro_base t (pa / page_size) in
     if base < 0 then 0
@@ -467,7 +467,7 @@ let read64 t pa =
     let lo = read32 t pa and hi = read32 t (pa + 4) in
     (lo lor (hi lsl 32)) land max_int
 
-let write64 t pa v =
+let[@inline] write64 t pa v =
   if pa land 7 = 0 then begin
     let n = pa / page_size in
     let base = rw_base t n in
@@ -479,6 +479,23 @@ let write64 t pa v =
   else begin
     write32 t pa (v land 0xFFFFFFFF);
     write32 t (pa + 4) ((v lsr 32) land 0xFFFFFFFF)
+  end
+
+(* Scanned backwards so the list comes out in index order without a
+   reversal; read from the slot directly, leaving the memo alone. *)
+let nonzero_words t pa =
+  let slot = slot_of t (pa / page_size) in
+  if slot < 0 then []
+  else begin
+    let arena = t.store.arena and base = slot * frame_words in
+    let acc = ref [] in
+    for i = frame_words - 1 downto 0 do
+      let w =
+        Int64.to_int (Bigarray.Array1.unsafe_get arena (base + i)) land max_int
+      in
+      if w <> 0 then acc := w :: !acc
+    done;
+    !acc
   end
 
 let read_bytes t pa len =

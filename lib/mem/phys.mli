@@ -66,6 +66,12 @@ val write32 : t -> int -> int -> unit
 val read64 : t -> int -> int
 val write64 : t -> int -> int -> unit
 
+val nonzero_words : t -> int -> int list
+(** [nonzero_words t pa] is every nonzero 64-bit word of the frame
+    containing [pa], as {!read64} would return it, in index order; a
+    never-written frame has none. One pass over the frame's slot in
+    place of 512 {!read64} calls. *)
+
 val read_bytes : t -> int -> int -> Bytes.t
 (** [read_bytes t pa len]. *)
 

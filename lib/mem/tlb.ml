@@ -121,7 +121,7 @@ let intern t comb ~vmid ~asid =
   end
 
 (* Set [last_ctx]/[last_gctx] for (vmid, asid), via the memo. *)
-let set_ctx_pair t ~vmid ~asid =
+let[@inline] set_ctx_pair t ~vmid ~asid =
   let comb = combine ~vmid ~asid in
   if comb <> t.last_comb then begin
     let memo = comb = t.prev_comb in
@@ -151,7 +151,7 @@ let page_bytes_at t s =
    first (own context, then global), then the 2 MiB page. Straight-line
    and closure-free: the first fetch under a freshly installed ASID
    always lands here, once per zone transit. *)
-let lookup_slot t ~vmid ~asid ~va =
+let[@inline] lookup_slot t ~vmid ~asid ~va =
   set_ctx_pair t ~vmid ~asid;
   let ctx = t.last_ctx and gctx = t.last_gctx in
   let vp4 = Lz_arm.Bits.align_down va 4096 in
@@ -169,7 +169,7 @@ let lookup_slot t ~vmid ~asid ~va =
     if s >= 0 && page_bytes_at t s > 4096 then s else -1
 
 (* Count one lookup outcome and return the slot's stored box. *)
-let account_slot t s =
+let[@inline] account_slot t s =
   if s >= 0 then begin
     t.hit_count <- t.hit_count + 1;
     t.boxes.(s)
@@ -221,7 +221,7 @@ let front_reset fr =
    probes. *)
 let account_front_hits t n = t.hit_count <- t.hit_count + n
 
-let front_promote fr =
+let[@inline] front_promote fr =
   let k = fr.f_key and g = fr.f_gen and s = fr.f_slot in
   fr.f_key <- fr.f2_key;
   fr.f_gen <- fr.f2_gen;
@@ -230,13 +230,13 @@ let front_promote fr =
   fr.f2_gen <- g;
   fr.f2_slot <- s
 
-let front_key t ~vmid ~asid ~va =
+let[@inline] front_key t ~vmid ~asid ~va =
   set_ctx_pair t ~vmid ~asid;
   pack ~ctx:t.last_ctx ~vpage:(Lz_arm.Bits.align_down va 4096)
 
 (* The slot a valid front entry holds for [key] (promoted to MRU), or
    -1. An invalid entry's generation is -1, which never matches. *)
-let front_slot t fr key =
+let[@inline] front_slot t fr key =
   if fr.f_gen = t.gen && fr.f_key = key then fr.f_slot
   else if fr.f2_gen = t.gen && fr.f2_key = key then begin
     front_promote fr;
@@ -244,14 +244,14 @@ let front_slot t fr key =
   end
   else -1
 
-let front_probe t fr ~vmid ~asid ~va =
+let[@inline] front_probe t fr ~vmid ~asid ~va =
   let s = front_slot t fr (front_key t ~vmid ~asid ~va) in
   if s >= 0 then account_slot t s else None
 
 (* Non-optional, unlike [lookup ?front]: an optional argument boxes
    the front in a [Some] at every call site, two minor words per
    front-missing probe on the core's per-access paths. *)
-let lookup_front t fr ~vmid ~asid ~va =
+let[@inline] lookup_front t fr ~vmid ~asid ~va =
   let key = front_key t ~vmid ~asid ~va in
   let s = front_slot t fr key in
   if s >= 0 then account_slot t s
@@ -380,7 +380,7 @@ let oldest t =
     let k = t.keys.(t.head) in
     Some (vmid_of_key t k, asid_of_key t k, key_vpage k)
 
-let gen t = t.gen
+let[@inline] gen t = t.gen
 let capacity t = t.capacity
 
 (* Whole-TLB capture for machine snapshots: the ring (entries are

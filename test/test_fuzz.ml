@@ -141,6 +141,24 @@ let test_storm_livelock_bounded () =
        (fun (run : Oracle.run) -> run.Oracle.outcome = "limit")
        r.Oracle.runs)
 
+(* The smp-race digest covers each core's stack pointers and PSTATE:
+   cores identical except for one of them must digest differently. *)
+let test_smp_core_state () =
+  let core () =
+    Lz_cpu.Core.create (Lz_mem.Phys.create ()) (Lz_mem.Tlb.create ()) cm
+      Lz_arm.Pstate.EL0
+  in
+  let base = Oracle.core_state (core ()) in
+  List.iter
+    (fun (name, poke) ->
+      let c = core () in
+      poke c;
+      check_bool (name ^ " reaches the digest") true
+        (Oracle.core_state c <> base))
+    [ ("SP_EL0", fun c -> c.Lz_cpu.Core.sp_el0 <- c.Lz_cpu.Core.sp_el0 + 16);
+      ("SP_EL1", fun c -> c.Lz_cpu.Core.sp_el1 <- c.Lz_cpu.Core.sp_el1 + 16);
+      ("PSTATE", fun c -> c.Lz_cpu.Core.pstate.Lz_arm.Pstate.z <- true) ]
+
 let () =
   let kind_cases =
     Array.to_list Fuzz_case.all_kinds
@@ -158,4 +176,6 @@ let () =
             test_shrink_to_minimal ] );
       ( "regressions",
         [ Alcotest.test_case "irq-storm livelock bounded" `Quick
-            test_storm_livelock_bounded ] ) ]
+            test_storm_livelock_bounded;
+          Alcotest.test_case "smp-race digest covers SPs and PSTATE" `Quick
+            test_smp_core_state ] ) ]

@@ -663,6 +663,54 @@ let test_pgt_id_recycling_isolates () =
   expect_exit 0 (Api.run t);
   check_int "recycled tenant's data" 55 (Lz_cpu.Core.reg t.Kmod.core 2)
 
+(* Lz_table.destroy frees a zone's table frames children first, in
+   descriptor-index order: the order of a full 512-entry scan of each
+   table, kept here as the reference. Freed frames go to the head of
+   Phys's free list, so alloc_frame hands them back last-freed first,
+   which is how the order is observed. *)
+let rec scan_free_order phys fake ~table_real ~level freed =
+  let freed = ref freed in
+  if level < 3 then
+    for i = 0 to 511 do
+      let pte = Lz_mem.Phys.read64 phys (table_real + (8 * i)) in
+      if Lz_mem.Pte.is_table ~level pte then
+        match Fake_phys.real_of_fake fake (Lz_mem.Pte.out_addr pte) with
+        | Some real ->
+            freed :=
+              scan_free_order phys fake ~table_real:real ~level:(level + 1)
+                !freed
+        | None -> ()
+    done;
+  table_real :: !freed
+
+let prop_destroy_free_order =
+  (* Few distinct upper indexes, spread over the table, so tables share
+     children and siblings sit far apart. *)
+  let idx = QCheck2.Gen.oneofl [ 0; 1; 170; 341; 510; 511 ] in
+  QCheck2.Test.make ~name:"destroy frees in descriptor-scan order" ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 1 24)
+        (quad (oneofl [ 0; 1; 255 ]) idx idx (int_range 0 511)))
+    (fun vas ->
+      let phys = Lz_mem.Phys.create () in
+      let fake = Fake_phys.create Fake_phys.Sequential in
+      let s2_root = Lz_mem.Stage2.create_root phys in
+      let t = Lz_table.create phys fake ~s2_root ~id:1 ~asid:1 in
+      let attrs =
+        { Lz_mem.Pte.user = true; read_only = false; uxn = true;
+          pxn = true; ng = true }
+      in
+      List.iteri
+        (fun i (a, b, c, d) ->
+          let va = (a lsl 39) lor (b lsl 30) lor (c lsl 21) lor (d lsl 12) in
+          Lz_table.map_page t ~va ~fake_pa:((i + 1) * 0x1000) attrs)
+        vas;
+      let expected =
+        scan_free_order phys fake ~table_real:t.Lz_table.root_real ~level:0 []
+      in
+      Lz_table.destroy t;
+      List.map (fun _ -> Lz_mem.Phys.alloc_frame phys) expected = expected)
+
 let () =
   Alcotest.run "lightzone"
     [ ( "sanitizer",
@@ -711,7 +759,8 @@ let () =
       );
       ( "accounting",
         [ Alcotest.test_case "table memory" `Quick
-            test_table_memory_accounting ] );
+            test_table_memory_accounting;
+          QCheck_alcotest.to_alcotest prop_destroy_free_order ] );
       ( "asid recycling",
         [ Alcotest.test_case "14-bit wrap regression" `Quick
             test_asid_wrap_regression;
