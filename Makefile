@@ -11,17 +11,20 @@ test:
 	dune runtest
 
 # Full host-throughput benchmark: fast vs slow execution engine,
-# writes BENCH_throughput.json in the repo root.
+# writes BENCH_throughput.json in the repo root. Every bench below
+# writes BENCH_<name>.json, or BENCH_<name>.smoke.json with --smoke,
+# and --check compares against the committed file of its own mode.
 bench: build
 	dune exec bench/throughput.exe
 
 # Quick harness check (small iteration count) via the dune alias,
 # then the full-iteration throughput run gated against the committed
-# baseline: exits non-zero if any workload's fast-engine MIPS
-# regressed more than 20% (LZ_BENCH_TOLERANCE overrides).
+# baseline: exits non-zero if any workload's fast-engine MIPS or
+# block_speedup regressed more than 20%, if an instruction count or
+# block statistic moved, or if nginx misses its floors.
 bench-smoke:
 	dune build @bench-smoke
-	dune exec bench/throughput.exe -- --check BENCH_throughput.json
+	dune exec bench/throughput.exe -- --check
 
 # Engine differential over the CLI: traps, pentest, switch and three
 # trace exports (host, guest, guest with the trap fast paths) run under
@@ -56,34 +59,35 @@ engine-diff: build
 fleet: build
 	dune exec bench/fleet.exe
 
-# CI variant: 64 forks, digest-identity assertions only.
+# CI variant: 64 forks, digest-identity assertions only; writes
+# BENCH_fleet.smoke.json.
 fleet-smoke: build
 	dune exec bench/fleet.exe -- --smoke
 
 # Coverage-guided differential fuzzing of the gate/sanitizer/trap
 # surface: 6000 cases, corpus under fuzz-corpus/, writes
-# BENCH_fuzz.json in the repo root.
+# BENCH_fuzz.json in the repo root (not committed).
 fuzz: build
 	dune exec bench/fuzz.exe
 
 # CI variant: fixed seed, 2000 cases, gated against the committed
-# baseline — exits non-zero on any engine divergence or on losing a
-# baseline coverage key (coverage regression). Deterministic: two
-# consecutive runs produce identical key sets and corpora.
+# BENCH_fuzz.smoke.json — exits non-zero on any engine divergence or
+# on losing a baseline coverage key (coverage regression).
+# Deterministic: two consecutive runs produce identical key sets and
+# corpora.
 fuzz-smoke: build
-	dune exec bench/fuzz.exe -- --smoke --check BENCH_fuzz.json
+	dune exec bench/fuzz.exe -- --smoke --check
 
 # Multi-core simulation benchmark: MIPS vs core count (1/2/4/8) on
 # one host domain per core, plus shootdown ack latency; writes
-# BENCH_smp.json in the repo root. With --check, enforces the gates:
-# 2-core sequential ≡ parallel digest, shootdown acks <= 2 barriers,
-# and (only on hosts with >= 4 cpus) 4-core aggregate MIPS >= 2x
-# 1-core.
+# BENCH_smp.json in the repo root. Always enforces the gates: 2-core
+# sequential ≡ parallel digest, shootdown acks <= 2 barriers, and
+# (only on hosts with >= 4 cpus) 4-core aggregate MIPS >= 2x 1-core.
 smp: build
-	dune exec bench/smp.exe -- --check
+	dune exec bench/smp.exe
 
 # CI smoke: 2-core sequential ≡ parallel digest/trace identity and a
-# 100-shootdown latency check; does not rewrite BENCH_smp.json.
+# 100-shootdown latency check; writes BENCH_smp.smoke.json.
 smp-smoke: build
 	dune exec bench/smp.exe -- --smoke
 
@@ -91,17 +95,17 @@ smp-smoke: build
 # enough alloc/free cycles to force generation rollover, with the
 # per-switch cycle flatness, pgt-id density and zero-allocation
 # gates; writes BENCH_scale.json in the repo root and fails if the
-# top-zone-count MIPS regressed more than 20% against the committed
-# baseline (LZ_BENCH_TOLERANCE overrides).
+# top-zone-count MIPS regressed more than 20% or any simulated count
+# moved against the committed baseline.
 scale: build
-	dune exec bench/scale.exe -- --check BENCH_scale.json
+	dune exec bench/scale.exe -- --check
 
 # CI variant: 256 zones in a 9-bit space — same rollover, flatness
-# and zero-allocation gates at a fraction of the runtime. Smoke and
-# full mode never compare against each other's baselines (the JSON
-# records its mode).
+# and zero-allocation gates at a fraction of the runtime. Writes and
+# compares against BENCH_scale.smoke.json (not committed), so it
+# never touches the full run's baseline.
 scale-smoke: build
-	dune exec bench/scale.exe -- --smoke --check BENCH_scale.json
+	dune exec bench/scale.exe -- --smoke --check
 
 # Host-time CPU profile of one hostbench workload:
 #   make profile W=<switch128|churn4096|fuzz>

@@ -17,10 +17,9 @@
      cold setups and extrapolated, since 1024 real cold setups would
      take minutes by construction).
 
-   Emits BENCH_fleet.json. `--smoke` runs a reduced fleet (64 forks)
-   and asserts digest identity — the CI gate. The full run (default,
-   1024 forks) additionally enforces the 10x cold-start gate and
-   exits 1 if it fails. *)
+   Every run requires digest identity. `--smoke` runs a reduced fleet
+   (64 forks), the CI gate; the full run (1024 forks) also requires
+   the 10x cold-start gain. *)
 
 module Sb = Lz_eval.Switch_bench
 module Snapshot = Lz_snap.Snapshot
@@ -34,7 +33,7 @@ let now () = Unix.gettimeofday ()
 let mean l = List.fold_left ( +. ) 0. l /. float_of_int (max 1 (List.length l))
 
 let () =
-  let smoke = Array.to_list Sys.argv |> List.exists (( = ) "--smoke") in
+  let smoke, _ = Report.flags "fleet" in
   let instances = if smoke then 64 else 1024 in
   let slice_n = if smoke then 300 else 1000 in
   (* Batch sizes for the MIPS curve; batches are disjoint, so the
@@ -73,13 +72,9 @@ let () =
     instances fork_total fork_mean_us;
 
   (* Every fork must be architecturally identical to the image. *)
-  Array.iter
-    (fun f ->
-      if Sb.zone_digest f <> image_digest then begin
-        prerr_endline "fleet: FORK DIGEST MISMATCH against the warm image";
-        exit 1
-      end)
-    forks;
+  let forked_same =
+    Array.for_all (fun f -> Sb.zone_digest f = image_digest) forks
+  in
 
   (* Churn slices: run the switch workload on [churn] instances,
      tracking dirty pages and aggregate simulated MIPS at increasing
@@ -119,15 +114,13 @@ let () =
   (* Each churned slice runs the same program from the same state:
      every fork that ran must land exactly where the source landed. *)
   let churned = !offset in
-  Array.iteri
-    (fun i f ->
-      if i < churned && Sb.zone_digest f <> ref_digest then begin
-        prerr_endline "fleet: POST-SLICE DIGEST MISMATCH against the source";
-        exit 1
-      end)
-    forks;
-  Printf.printf "fleet: all %d forks digest-identical (%d churned)\n%!"
-    instances churned;
+  let churned_same =
+    Array.for_all (fun f -> Sb.zone_digest f = ref_digest)
+      (Array.sub forks 0 churned)
+  in
+  if forked_same && churned_same then
+    Printf.printf "fleet: all %d forks digest-identical (%d churned)\n%!"
+      instances churned;
 
   let dirty =
     List.init churned (fun i -> Snapshot.dirty_pages forks.(i) image)
@@ -146,46 +139,35 @@ let () =
     "fleet: fork %.3fs vs cold %.2fs extrapolated (%.1fx cheaper)\n%!"
     fork_total cold_total speedup;
 
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "fleet",
-  "smoke": %b,
-  "domains": %d,
-  "slice_switches": %d,
-  "instances": %d,
-  "warm_image_seconds": %.4f,
-  "fork": { "total_seconds": %.6f, "mean_us": %.2f },
-  "cold": { "samples": %d, "mean_seconds": %.4f,
-    "extrapolated_total_seconds": %.2f },
-  "speedup_vs_cold": %.2f,
-  "digests_identical": true,
-  "churned_instances": %d,
-  "dirty_pages": { "mean": %.1f, "max": %d },
-  "store": { "slots": %d, "logical_frames": %d, "unshares": %d },
-  "mips": [
-%s
-  ]
-}
-|}
-      smoke domains slice_n instances warm_seconds fork_total fork_mean_us
-      cold_samples cold_mean cold_total speedup churned dirty_mean dirty_max
-      st.Phys.store_slots st.Phys.allocated st.Phys.unshares
-      (String.concat ",\n"
-         (List.map
-            (fun (k, insns, seconds, mips) ->
-              Printf.sprintf
-                {|    { "instances": %d, "insns": %d, "seconds": %.4f, "mips": %.1f }|}
-                k insns seconds mips)
-            mips_rows))
-  in
-  let out = open_out "BENCH_fleet.json" in
-  output_string out json;
-  close_out out;
-  Printf.printf "wrote BENCH_fleet.json\n%!";
-  if (not smoke) && speedup < 10. then begin
-    Printf.eprintf
-      "fleet: FAIL — forking is only %.1fx cheaper than cold setup (< 10x)\n"
-      speedup;
-    exit 1
-  end
+  let open Report in
+  finish
+    (make ~bench:"fleet" ~smoke
+       ([ row "params"
+            [ int Info "domains" domains; int Info "slice_switches" slice_n;
+              int Info "instances" instances;
+              int Info "cold_samples" cold_samples;
+              int Info "churned_instances" churned ];
+          row "fork"
+            [ float ~dp:4 Info "warm_image_seconds" warm_seconds;
+              float ~dp:6 Info "total_seconds" fork_total;
+              float ~dp:2 Info "mean_us" fork_mean_us;
+              float ~dp:4 Info "cold_mean_seconds" cold_mean;
+              float ~dp:2 Info "cold_total_seconds" cold_total;
+              float ~dp:2 Info "speedup_vs_cold" speedup ];
+          row "memory"
+            [ float ~dp:1 Info "dirty_pages_mean" dirty_mean;
+              int Info "dirty_pages_max" dirty_max;
+              int Info "store_slots" st.Phys.store_slots;
+              int Info "logical_frames" st.Phys.allocated;
+              int Info "unshares" st.Phys.unshares ] ]
+       @ List.map
+           (fun (k, insns, seconds, mips) ->
+             row
+               (Printf.sprintf "instances=%d" k)
+               [ int Info "insns" insns; float ~dp:4 Info "seconds" seconds;
+                 float ~dp:1 Info "mips" mips ])
+           mips_rows))
+    (need forked_same "a fork's digest differs from the warm image's"
+    @ need churned_same "a churned fork's digest differs from the source's"
+    @ need (smoke || speedup >= 10.)
+        "forking is only %.1fx cheaper than cold setup (< 10x)" speedup)

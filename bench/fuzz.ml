@@ -1,85 +1,26 @@
 (* Coverage-guided differential fuzzing campaign over the gate /
-   sanitizer / trap surface. Emits BENCH_fuzz.json: cases/sec, the
-   coverage curve, corpus size and the full sorted coverage-key set.
+   sanitizer / trap surface: seed 0xF022, 6000 cases (`--smoke`: the
+   CI-sized 2000), corpus under fuzz-corpus/. Reports cases/sec, the
+   coverage curve, the corpus size and the full sorted coverage-key
+   set. Any engine divergence fails the run; `--check` also fails on
+   losing a coverage key of the committed report of the same mode
+   (Report). `lzctl fuzz run` takes another seed, count or corpus.
 
-   Flags:
-     --smoke        reduced, CI-sized campaign (fixed seed, 2000 cases)
-     --cases N      override the case count
-     --seed N       override the campaign seed
-     --corpus DIR   persist the corpus (default fuzz-corpus/)
-     --check FILE   regression gate: read a committed baseline first and
-                    exit 1 if this run diverges anywhere or loses any
-                    baseline coverage key (coverage regression)
-
-   Everything except the timing fields in the JSON is deterministic
-   for a fixed (seed, cases, domains) triple — the CI determinism
-   check runs the campaign twice and diffs the key set. *)
+   Everything but the stamp and the timing fields is deterministic
+   for a fixed (seed, cases, domains) triple — two runs produce the
+   same key set and corpus. *)
 
 module Campaign = Lz_fuzz.Campaign
 module Oracle = Lz_fuzz.Oracle
 
 let now () = Unix.gettimeofday ()
 
-let arg_value name default =
-  let rec go = function
-    | a :: b :: _ when a = name -> b
-    | _ :: rest -> go rest
-    | [] -> default
-  in
-  go (Array.to_list Sys.argv)
-
-let arg_flag name = Array.exists (( = ) name) Sys.argv
-
-(* Crude line-oriented reader for the committed baseline: pulls the
-   quoted strings out of the "keys" array and the divergence count. *)
-let read_baseline file =
-  if not (Sys.file_exists file) then None
-  else begin
-    let ic = open_in file in
-    let keys = ref [] in
-    let in_keys = ref false in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if String.length line >= 8 && String.sub line 0 8 = {|"keys": |} then
-           in_keys := true
-         else if !in_keys then
-           if line = "]" || line = "]," then in_keys := false
-           else
-             let line =
-               if Filename.check_suffix line "," then
-                 String.sub line 0 (String.length line - 1)
-               else line
-             in
-             if String.length line >= 2 && line.[0] = '"' then
-               keys := String.sub line 1 (String.length line - 2) :: !keys
-       done
-     with End_of_file -> ());
-    close_in ic;
-    Some (List.rev !keys)
-  end
-
 let () =
-  let smoke = arg_flag "--smoke" in
-  let cases =
-    int_of_string (arg_value "--cases" (if smoke then "2000" else "6000"))
-  in
-  let seed = int_of_string (arg_value "--seed" "0xF022") in
-  let dir = arg_value "--corpus" "fuzz-corpus" in
-  let check = arg_value "--check" "" in
+  let smoke, check = Report.flags ~check:true "fuzz" in
+  let cases = if smoke then 2000 else 6000 in
+  let seed = 0xF022 in
+  let dir = "fuzz-corpus" in
   let domains = 128 in
-  let baseline_keys =
-    if check = "" then None
-    else
-      match read_baseline check with
-      | Some ks ->
-          Printf.printf "fuzz: baseline %s: %d coverage keys\n%!" check
-            (List.length ks);
-          Some ks
-      | None ->
-          Printf.printf "fuzz: no baseline at %s (first run?)\n%!" check;
-          None
-  in
   let cfg =
     {
       Campaign.default_config with
@@ -104,11 +45,11 @@ let () =
   let cases_per_sec = float_of_int cases /. seconds in
   let corpus_size = List.length stats.Campaign.corpus_entries in
   let nkeys = List.length stats.Campaign.keys in
+  let divergences = List.length stats.Campaign.failures in
   Printf.printf
     "fuzz: %d cases in %.1fs (%.1f cases/s): %d corpus entries, %d coverage \
      keys, %d divergences\n%!"
-    cases seconds cases_per_sec corpus_size nkeys
-    (List.length stats.Campaign.failures);
+    cases seconds cases_per_sec corpus_size nkeys divergences;
   List.iter
     (fun (k, n) -> Printf.printf "fuzz:   %-12s %5d cases\n%!" k n)
     stats.Campaign.kind_counts;
@@ -117,62 +58,20 @@ let () =
       Printf.printf "fuzz: DIVERGENCE %s\n  shrunk: %s\n%!" f.Campaign.detail
         (Format.asprintf "%a" Lz_fuzz.Fuzz_case.pp f.Campaign.case))
     stats.Campaign.failures;
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "fuzz",
-  "smoke": %b,
-  "seed": %d,
-  "cases": %d,
-  "domains": %d,
-  "seconds": %.2f,
-  "cases_per_sec": %.1f,
-  "corpus_size": %d,
-  "divergences": %d,
-  "coverage_keys": %d,
-  "curve": [
-%s
-  ],
-  "keys": [
-%s
-  ]
-}
-|}
-      smoke seed cases domains seconds cases_per_sec corpus_size
-      (List.length stats.Campaign.failures)
-      nkeys
-      (String.concat ",\n"
-         (List.map
+  Report.finish ~check
+    Report.(
+      make ~bench:"fuzz" ~smoke ~keys:stats.Campaign.keys
+       (row "params"
+          [ int Info "seed" seed; int Info "cases" cases;
+            int Info "domains" domains ]
+       :: row "campaign"
+            [ float ~dp:2 Info "seconds" seconds;
+              float ~dp:1 Info "cases_per_sec" cases_per_sec;
+              int Info "corpus_size" corpus_size;
+              int Info "divergences" divergences;
+              int Info "coverage_keys" nkeys ]
+       :: List.map
             (fun (i, k) ->
-              Printf.sprintf {|    { "cases": %d, "keys": %d }|} i k)
+              row (Printf.sprintf "cases=%d" i) [ int Info "keys" k ])
             stats.Campaign.curve))
-      (String.concat ",\n"
-         (List.map (Printf.sprintf {|    "%s"|}) stats.Campaign.keys))
-  in
-  let out = open_out "BENCH_fuzz.json" in
-  output_string out json;
-  close_out out;
-  Printf.printf "fuzz: wrote BENCH_fuzz.json\n%!";
-  let fail = ref false in
-  if stats.Campaign.failures <> [] then begin
-    Printf.eprintf "fuzz: FAIL — %d divergence(s) found\n"
-      (List.length stats.Campaign.failures);
-    fail := true
-  end;
-  (match baseline_keys with
-  | Some ks ->
-      let missing =
-        List.filter (fun k -> not (List.mem k stats.Campaign.keys)) ks
-      in
-      if missing <> [] then begin
-        Printf.eprintf
-          "fuzz: FAIL — coverage regression, %d baseline key(s) missing:\n"
-          (List.length missing);
-        List.iter (Printf.eprintf "  %s\n") missing;
-        fail := true
-      end
-      else
-        Printf.printf "fuzz: coverage gate OK (%d baseline keys all hit)\n%!"
-          (List.length ks)
-  | None -> ());
-  if !fail then exit 1
+    (Report.need (divergences = 0) "%d divergence(s) found" divergences)

@@ -28,15 +28,10 @@
      marginal Gc minor-words cost of 0 words per switch, on the block
      engine (the default) and on the per-insn fast engine alike.
 
-   `--check [FILE]` additionally reads the committed BENCH_scale.json
-   before overwriting it and exits 1 if MIPS at the top K regressed
-   more than 20% (LZ_BENCH_TOLERANCE overrides). Baselines from a
-   different mode (smoke vs full) are skipped — not comparable. A
-   baseline from another dune profile ("build_profile") fails the
-   check instead: a silently skipped gate would hide that the build
-   changed under the committed numbers.
-
-   Emits BENCH_scale.json. `--smoke` is the CI variant. *)
+   `--check` compares against the committed report of the same mode
+   (Report): MIPS at the top K is a [Higher] metric, and every row's
+   simulated counts and cycles/switch are [Exact] ones. `--smoke` is
+   the CI variant. *)
 
 module Core = Lz_cpu.Core
 open Lz_kernel
@@ -191,80 +186,8 @@ let zero_alloc_marginal ~engine ~asid_bits cm =
   let w2 = measure n2 in
   (w2 -. w1) /. float_of_int (2 * (n2 - n1))
 
-(* ------------------------------------------------------------------ *)
-(* Baseline parsing (same string-scan approach as bench/throughput) *)
-
-let str_index s sub ~from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  if m = 0 then None else go (max 0 from)
-
-let number_after s ~from =
-  let n = String.length s in
-  let i = ref from in
-  while
-    !i < n
-    && not (match s.[!i] with '0' .. '9' | '-' | '.' -> true | _ -> false)
-  do
-    incr i
-  done;
-  let j = ref !i in
-  while
-    !j < n
-    && (match s.[!j] with '0' .. '9' | '-' | '.' | 'e' | '+' -> true
-        | _ -> false)
-  do
-    incr j
-  done;
-  if !j > !i then float_of_string_opt (String.sub s !i (!j - !i)) else None
-
-let baseline_top_mips json ~zones =
-  match str_index json (Printf.sprintf "\"zones\": %d" zones) ~from:0 with
-  | None -> None
-  | Some at -> (
-      match str_index json "\"mips\":" ~from:at with
-      | None -> None
-      | Some at -> number_after json ~from:at)
-
-let baseline_string json key =
-  let pat = Printf.sprintf "%S:" key in
-  match str_index json pat ~from:0 with
-  | None -> None
-  | Some at -> (
-      match str_index json "\"" ~from:(at + String.length pat) with
-      | None -> None
-      | Some q -> (
-          match str_index json "\"" ~from:(q + 1) with
-          | None -> None
-          | Some q2 -> Some (String.sub json (q + 1) (q2 - q - 1))))
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* ------------------------------------------------------------------ *)
-
 let () =
-  let argv = Array.to_list Sys.argv in
-  let smoke = List.mem "--smoke" argv in
-  let check =
-    let rec find = function
-      | "--check" :: path :: _ when String.length path > 0 && path.[0] <> '-'
-        -> Some path
-      | "--check" :: _ -> Some "BENCH_scale.json"
-      | _ :: tl -> find tl
-      | [] -> None
-    in
-    find argv
-  in
-  let mode = if smoke then "smoke" else "full" in
+  let smoke, check = Report.flags ~check:true "scale" in
   (* The ASID space is sized to be crossed: big enough to park the
      largest K live, small enough that the churn reaches rollover at
      every K. *)
@@ -274,14 +197,6 @@ let () =
   let slack = if smoke then 64 else 512 in
   let iters = 8 in
   let cm = Lz_cpu.Cost_model.cortex_a55 in
-  let baseline =
-    match check with
-    | Some path when Sys.file_exists path -> Some (path, read_file path)
-    | Some path ->
-        Printf.printf "scale: no baseline %s yet, writing one\n%!" path;
-        None
-    | None -> None
-  in
   let rows =
     List.map
       (fun zones ->
@@ -303,118 +218,50 @@ let () =
     "scale: steady-state switch path: %.4f minor words/switch (blocks), \
      %.4f (per-insn)\n%!"
     marginal_blocks marginal_insn;
-  let json =
-    let item r =
-      Printf.sprintf
-        {|    { "zones": %d, "connections": %d, "switches": %d,
-      "insns": %d, "seconds": %.6f, "mips": %.3f,
-      "cycles_per_switch": %.2f, "rollovers": %d, "recycled": %d,
-      "pgt_high_water": %d }|}
-        r.zones r.connections r.switches r.insns r.seconds r.mips
-        r.cycles_per_switch r.rollovers r.recycled r.pgt_high_water
-    in
-    Printf.sprintf
-      "{\n  \"bench\": \"scale\",\n  \"build_profile\": %S,\n  \
-       \"mode\": %S,\n  \"asid_bits\": %d,\n  \"serve_iters\": %d,\n  \
-       \"zero_alloc_marginal_words_per_switch\": { \"blocks\": %.4f, \
-       \"per_insn\": %.4f },\n  \"rows\": [\n%s\n  ]\n}\n"
-      Build_profile.name mode asid_bits iters marginal_blocks marginal_insn
-      (String.concat ",\n" (List.map item rows))
-  in
-  let out = open_out "BENCH_scale.json" in
-  output_string out json;
-  close_out out;
-  Printf.printf "wrote BENCH_scale.json\n%!";
-  (* Unconditional gates. *)
-  let failures = ref [] in
   let top = List.nth rows (List.length rows - 1) in
   let bottom = List.hd rows in
-  if top.recycled <= 0 then
-    failures :=
-      Printf.sprintf "no ASID recycling at %d zones (recycled = %d)"
-        top.zones top.recycled
-      :: !failures;
-  if top.rollovers <= 0 then
-    failures :=
-      Printf.sprintf "no generation rollover at %d zones" top.zones
-      :: !failures;
-  if top.cycles_per_switch > 1.7 *. bottom.cycles_per_switch then
-    failures :=
-      Printf.sprintf
-        "per-switch cost not flat: %.1f cyc at %d zones vs %.1f at %d \
-         (>1.7x)"
+  let report =
+    let open Report in
+    let row_of r =
+      (* The baseline gate watches MIPS at the top K only. *)
+      row
+        (Printf.sprintf "zones=%d" r.zones)
+        [ float (if r.zones = top.zones then Higher else Info) "mips" r.mips;
+          int Exact "connections" r.connections;
+          int Exact "switches" r.switches;
+          int Exact "insns" r.insns;
+          float ~dp:2 Exact "cycles_per_switch" r.cycles_per_switch;
+          int Exact "rollovers" r.rollovers;
+          int Exact "recycled" r.recycled;
+          int Exact "pgt_high_water" r.pgt_high_water;
+          float ~dp:6 Info "seconds" r.seconds ]
+    in
+    make ~bench:"scale" ~smoke
+      (row "params"
+         [ int Info "asid_bits" asid_bits; int Info "serve_iters" iters ]
+       :: row "zero_alloc"
+            [ float ~dp:4 Info "blocks_words_per_switch" marginal_blocks;
+              float ~dp:4 Info "per_insn_words_per_switch" marginal_insn ]
+       :: List.map row_of rows)
+  in
+  Report.finish ~check report
+    (Report.need (top.recycled > 0)
+       "no ASID recycling at %d zones (recycled = %d)" top.zones top.recycled
+    @ Report.need (top.rollovers > 0) "no generation rollover at %d zones"
+        top.zones
+    @ Report.need
+        (top.cycles_per_switch <= 1.7 *. bottom.cycles_per_switch)
+        "per-switch cost not flat: %.1f cyc at %d zones vs %.1f at %d (>1.7x)"
         top.cycles_per_switch top.zones bottom.cycles_per_switch bottom.zones
-      :: !failures;
-  (* The connection's table recycles one id: the id space must not
-     creep past residents + default + 1. *)
-  if top.pgt_high_water > top.zones + 2 then
-    failures :=
-      Printf.sprintf "pgt id space leaked: high water %d for %d zones"
-        top.pgt_high_water top.zones
-      :: !failures;
-  List.iter
-    (fun (engine, marginal) ->
-      if marginal > 0. then
-        failures :=
-          Printf.sprintf
+    (* The connection's table recycles one id: the id space must not
+       creep past residents + default + 1. *)
+    @ Report.need
+        (top.pgt_high_water <= top.zones + 2)
+        "pgt id space leaked: high water %d for %d zones" top.pgt_high_water
+        top.zones
+    @ List.concat_map
+        (fun (engine, marginal) ->
+          Report.need (marginal <= 0.)
             "%s switch path allocates: %.4f minor words per switch (want 0)"
-            engine marginal
-          :: !failures)
-    [ ("block-engine", marginal_blocks); ("per-insn", marginal_insn) ];
-  (* Baseline MIPS gate. *)
-  (match baseline with
-  | None -> ()
-  | Some (path, base) -> (
-      match
-        (baseline_string base "build_profile", baseline_string base "mode")
-      with
-      | p, _ when p <> Some Build_profile.name ->
-          failures :=
-            Printf.sprintf
-              "baseline %s was built in the %s profile, this binary in %s — \
-               MIPS are not comparable"
-              path
-              (Option.value p ~default:"none")
-              Build_profile.name
-            :: !failures
-      | _, Some m when m <> mode ->
-          Printf.printf
-            "scale: baseline %s is a %s run, this is %s — MIPS check \
-             skipped\n%!"
-            path m mode
-      | _ -> (
-          match baseline_top_mips base ~zones:top.zones with
-          | None ->
-              Printf.printf "scale: %d-zone row not in baseline %s, skipped\n%!"
-                top.zones path
-          | Some m0 ->
-              let tolerance =
-                match Sys.getenv_opt "LZ_BENCH_TOLERANCE" with
-                | Some s -> (
-                    match float_of_string_opt s with
-                    | Some f when f > 0. && f < 1. -> f
-                    | _ ->
-                        Printf.eprintf
-                          "scale: LZ_BENCH_TOLERANCE must be in (0,1), got \
-                           %S\n"
-                          s;
-                        exit 2)
-                | None -> 0.20
-              in
-              if top.mips < (1. -. tolerance) *. m0 then
-                failures :=
-                  Printf.sprintf
-                    "%d-zone MIPS regressed: %.3f vs baseline %.3f (-%.0f%%)"
-                    top.zones top.mips m0
-                    (100. *. (1. -. (top.mips /. m0)))
-                  :: !failures
-              else
-                Printf.printf
-                  "scale: --check ok (%d-zone MIPS %.3f within %.0f%% of \
-                   %.3f)\n%!"
-                  top.zones top.mips (100. *. tolerance) m0)));
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "scale: FAIL: %s\n" f) fs;
-      exit 1
+            engine marginal)
+        [ ("block-engine", marginal_blocks); ("per-insn", marginal_insn) ])

@@ -15,19 +15,17 @@
      reports average ack latency in barriers and cycles. The protocol
      guarantees acks within two barriers.
 
-   Emits BENCH_smp.json. Flags:
-     --smoke   reduced 2-core run asserting sequential ≡ parallel
-               digests (the CI smoke gate); does not write the JSON.
-     --check   after the full run, enforce the gates: 2-core seq ≡ par
-               digest, shootdown ack ≤ 2 barriers, and — only when
-               host_cpus >= 4 — 4-core aggregate MIPS >= 2x 1-core. *)
+   Every run requires a 2-core sequential ≡ parallel digest and trace
+   and shootdown acks within 2 barriers on average; a full run also
+   requires 4-core aggregate MIPS >= 2x 1-core when host_cpus >= 4.
+   `--smoke` is the CI variant: the seq ≡ par check and 100
+   shootdowns, no MIPS curve. *)
 
 open Lz_kernel
 module Smp = Lz_smp.Smp
 module Core = Lz_cpu.Core
 
 let now () = Unix.gettimeofday ()
-let arg f = Array.exists (( = ) f) Sys.argv
 
 let code_va = 0x400000
 let data_va = 0x600000
@@ -111,45 +109,55 @@ let build_shootdown ~pairs () =
   Smp.assign ~pool:0 t 1 kernel proc ~entry:code1_va ~sp:stack_top;
   t
 
-let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
-
-(* Sequential-oracle ≡ parallel-domains digest check on a 2-core
-   machine; returns unit or dies. *)
+(* Sequential-oracle ≡ parallel-domains check on a 2-core machine:
+   the failures. *)
 let check_seq_par ~iters () =
   let a = build_compute ~cores:2 ~iters () in
   let b = build_compute ~cores:2 ~iters () in
   let oa = Smp.run ~parallel:false a in
   let ob = Smp.run ~parallel:true b in
-  if oa <> ob then fail "smp: FAIL — seq vs par outcomes differ";
-  if Smp.digests a <> Smp.digests b then
-    fail "smp: FAIL — seq vs par digests differ";
-  if Smp.merged_trace a <> Smp.merged_trace b then
-    fail "smp: FAIL — seq vs par traces differ";
-  Printf.printf "smp: 2-core sequential ≡ parallel (digest + trace) OK\n%!"
+  let fails =
+    Report.need (oa = ob) "seq vs par outcomes differ"
+    @ Report.need (Smp.digests a = Smp.digests b) "seq vs par digests differ"
+    @ Report.need
+        (Smp.merged_trace a = Smp.merged_trace b)
+        "seq vs par traces differ"
+  in
+  if fails = [] then
+    Printf.printf "smp: 2-core sequential ≡ parallel (digest + trace) OK\n%!";
+  fails
+
+(* Shootdown latency: [pairs] ro/rw flip pairs, two shootdowns each. *)
+let shootdown ~pairs ~max_insns =
+  let t = build_shootdown ~pairs () in
+  ignore (Smp.run ~max_insns t);
+  let s0 = Smp.slot t 0 in
+  let sent = s0.Smp.sd_sent and quantum = t.Smp.quantum in
+  let barriers =
+    float_of_int s0.Smp.stall_barriers /. float_of_int (max 1 sent)
+  in
+  Printf.printf
+    "smp: shootdown: %d sent, acked in %.2f barriers (%.0f cycles at Q=%d)\n%!"
+    sent barriers (barriers *. float_of_int quantum) quantum;
+  let open Report in
+  ( row "shootdown"
+      [ int Info "count" sent; int Info "stall_barriers" s0.Smp.stall_barriers;
+        float ~dp:2 Info "avg_ack_barriers" barriers;
+        int Info "quantum" quantum;
+        float ~dp:0 Info "avg_latency_cycles"
+          (barriers *. float_of_int quantum) ],
+    need (sent = 2 * pairs) "expected %d shootdowns, saw %d" (2 * pairs) sent
+    @ need (barriers <= 2.) "shootdown acks averaged %.2f barriers (> 2)"
+        barriers )
 
 let () =
-  let smoke = arg "--smoke" in
-  let check = arg "--check" in
+  let smoke, _ = Report.flags "smp" in
   let host_cpus = Domain.recommended_domain_count () in
   Printf.printf "smp: host has %d usable cpu(s)\n%!" host_cpus;
+  let seq_par = check_seq_par ~iters:30_000 () in
 
-  if smoke then begin
-    check_seq_par ~iters:30_000 ();
-    let t = build_shootdown ~pairs:50 () in
-    ignore (Smp.run ~max_insns:3_000_000 t);
-    let s0 = Smp.slot t 0 in
-    if s0.Smp.sd_sent <> 100 then
-      fail "smp: FAIL — expected 100 shootdowns, saw %d" s0.Smp.sd_sent;
-    if s0.Smp.stall_barriers > 2 * s0.Smp.sd_sent then
-      fail "smp: FAIL — shootdown acks took > 2 barriers on average";
-    Printf.printf "smp: smoke OK (100 shootdowns, %.2f barriers/ack)\n%!"
-      (float_of_int s0.Smp.stall_barriers /. float_of_int s0.Smp.sd_sent);
-    exit 0
-  end;
-
-  (* MIPS curve. *)
+  (* MIPS curve, full runs only. *)
   let iters = 300_000 in
-  let counts = [ 1; 2; 4; 8 ] in
   let curve =
     List.map
       (fun cores ->
@@ -157,72 +165,56 @@ let () =
         let t0 = now () in
         let os = Smp.run ~parallel:true t in
         let seconds = now () -. t0 in
-        List.iteri
-          (fun i (_, o) ->
-            match o with
-            | Kernel.Exited c when c = 40 + i -> ()
-            | _ -> fail "smp: FAIL — core %d bad outcome in MIPS run" i)
-          os;
+        let bad =
+          List.concat
+            (List.mapi
+               (fun i (_, o) ->
+                 Report.need (o = Kernel.Exited (40 + i))
+                   "core %d bad outcome in the %d-core MIPS run" i cores)
+               os)
+        in
         let insns = total_insns t in
         let mips = float_of_int insns /. seconds /. 1e6 in
         Printf.printf "smp: %d core(s): %d insns in %.2fs = %.1f MIPS\n%!"
           cores insns seconds mips;
-        (cores, insns, seconds, mips))
-      counts
+        (cores, insns, seconds, mips, bad))
+      (if smoke then [] else [ 1; 2; 4; 8 ])
   in
   let mips_of n =
-    match List.find_opt (fun (c, _, _, _) -> c = n) curve with
-    | Some (_, _, _, m) -> m
+    match List.find_opt (fun (c, _, _, _, _) -> c = n) curve with
+    | Some (_, _, _, m, _) -> m
     | None -> 0.
   in
   let speedup4 = mips_of 4 /. mips_of 1 in
-
-  (* Shootdown latency. *)
-  let t = build_shootdown ~pairs:200 () in
-  ignore (Smp.run ~max_insns:30_000_000 t);
-  let s0 = Smp.slot t 0 in
-  let quantum = t.Smp.quantum in
-  let avg_barriers =
-    float_of_int s0.Smp.stall_barriers /. float_of_int (max 1 s0.Smp.sd_sent)
+  let scaling_gated = (not smoke) && host_cpus >= 4 in
+  if not (smoke || scaling_gated) then
+    Printf.printf
+      "smp: scaling gate skipped (host has %d cpu(s), need >= 4)\n%!" host_cpus;
+  let sd, sd_fails =
+    if smoke then shootdown ~pairs:50 ~max_insns:3_000_000
+    else shootdown ~pairs:200 ~max_insns:30_000_000
   in
-  let avg_cycles = avg_barriers *. float_of_int quantum in
-  Printf.printf
-    "smp: shootdown: %d sent, acked in %.2f barriers (%.0f cycles at Q=%d)\n%!"
-    s0.Smp.sd_sent avg_barriers avg_cycles quantum;
-
-  (* Emit the JSON. *)
-  let oc = open_out "BENCH_smp.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"smp\",\n  \"host_cpus\": %d,\n  \"iters_per_core\": %d,\n\
-    \  \"curve\": [\n%s\n  ],\n\
-    \  \"speedup_4core\": %.2f,\n\
-    \  \"shootdown\": { \"count\": %d, \"stall_barriers\": %d, \"avg_ack_barriers\": %.2f, \"quantum\": %d, \"avg_latency_cycles\": %.0f }\n\
-     }\n"
-    host_cpus iters
-    (String.concat ",\n"
-       (List.map
-          (fun (c, i, s, m) ->
-            Printf.sprintf
-              "    { \"cores\": %d, \"insns\": %d, \"seconds\": %.3f, \"mips\": %.1f }"
-              c i s m)
-          curve))
-    speedup4 s0.Smp.sd_sent s0.Smp.stall_barriers avg_barriers quantum
-    avg_cycles;
-  close_out oc;
-  Printf.printf "smp: wrote BENCH_smp.json\n%!";
-
-  if check then begin
-    check_seq_par ~iters:30_000 ();
-    if avg_barriers > 2.0 then
-      fail "smp: FAIL — shootdown acks averaged %.2f barriers (> 2)"
-        avg_barriers;
-    if host_cpus >= 4 && speedup4 < 2.0 then
-      fail "smp: FAIL — 4-core aggregate MIPS only %.2fx 1-core (>= 2x \
-            required on a %d-cpu host)"
-        speedup4 host_cpus;
-    if host_cpus < 4 then
-      Printf.printf
-        "smp: scaling gate skipped (host has %d cpu(s), need >= 4)\n%!"
-        host_cpus;
-    Printf.printf "smp: check OK\n%!"
-  end
+  let open Report in
+  let scaling =
+    if smoke then []
+    else
+      row "params" [ int Info "iters_per_core" iters ]
+      :: List.map
+           (fun (cores, insns, seconds, mips, _) ->
+             row
+               (Printf.sprintf "cores=%d" cores)
+               [ int Info "insns" insns; float Info "seconds" seconds;
+                 float ~dp:1 Info "mips" mips ])
+           curve
+      @ [ row "scaling" [ float ~dp:2 Info "speedup_4core" speedup4 ] ]
+  in
+  finish
+    (make ~bench:"smp" ~smoke (scaling @ [ sd ]))
+    (seq_par
+    @ List.concat_map (fun (_, _, _, _, bad) -> bad) curve
+    @ sd_fails
+    @ need
+        ((not scaling_gated) || speedup4 >= 2.0)
+        "4-core aggregate MIPS only %.2fx 1-core (>= 2x required on a \
+         %d-cpu host)"
+        speedup4 host_cpus)
