@@ -12,16 +12,20 @@ test:
 
 # Full host-throughput benchmark: fast vs slow execution engine,
 # writes BENCH_throughput.json in the repo root. Every bench below
-# writes BENCH_<name>.json, or BENCH_<name>.smoke.json with --smoke,
-# and --check compares against the committed file of its own mode.
+# writes BENCH_<name>.json, or BENCH_<name>.smoke.json with --smoke;
+# --check compares against that file (the committed baseline of its
+# own mode) and writes BENCH_<name>[.smoke].check.json instead, so a
+# checking run never replaces the baseline. Re-record a baseline with
+# the run without --check.
 bench: build
 	dune exec bench/throughput.exe
 
 # Quick harness check (small iteration count) via the dune alias,
 # then the full-iteration throughput run gated against the committed
-# baseline: exits non-zero if any workload's fast-engine MIPS or
-# block_speedup regressed more than 20%, if an instruction count or
-# block statistic moved, or if nginx misses its floors.
+# baseline (report in BENCH_throughput.check.json): exits non-zero if
+# any workload's fast-engine MIPS or block_speedup regressed more than
+# 20%, if an instruction count or block statistic moved, or if nginx
+# misses its floors.
 bench-smoke:
 	dune build @bench-smoke
 	dune exec bench/throughput.exe -- --check
@@ -71,10 +75,10 @@ fuzz: build
 	dune exec bench/fuzz.exe
 
 # CI variant: fixed seed, 2000 cases, gated against the committed
-# BENCH_fuzz.smoke.json — exits non-zero on any engine divergence or
-# on losing a baseline coverage key (coverage regression).
-# Deterministic: two consecutive runs produce identical key sets and
-# corpora.
+# BENCH_fuzz.smoke.json (report in BENCH_fuzz.smoke.check.json) —
+# exits non-zero on any engine divergence or on losing a baseline
+# coverage key (coverage regression). Deterministic: two consecutive
+# runs produce identical key sets and corpora.
 fuzz-smoke: build
 	dune exec bench/fuzz.exe -- --smoke --check
 
@@ -94,16 +98,17 @@ smp-smoke: build
 # Tenant-scale connection churn: 4096 zones in a 13-bit ASID space,
 # enough alloc/free cycles to force generation rollover, with the
 # per-switch cycle flatness, pgt-id density and zero-allocation
-# gates; writes BENCH_scale.json in the repo root and fails if the
-# top-zone-count MIPS regressed more than 20% or any simulated count
-# moved against the committed baseline.
+# gates; writes BENCH_scale.check.json in the repo root and fails if
+# the top-zone-count MIPS regressed more than 20% or any simulated
+# count moved against the committed BENCH_scale.json.
 scale: build
 	dune exec bench/scale.exe -- --check
 
 # CI variant: 256 zones in a 9-bit space — same rollover, flatness
-# and zero-allocation gates at a fraction of the runtime. Writes and
-# compares against BENCH_scale.smoke.json (not committed), so it
-# never touches the full run's baseline.
+# and zero-allocation gates at a fraction of the runtime. Compares
+# against BENCH_scale.smoke.json (not committed; skipped when absent)
+# and writes BENCH_scale.smoke.check.json, so it never touches the
+# full run's baseline.
 scale-smoke: build
 	dune exec bench/scale.exe -- --smoke --check
 

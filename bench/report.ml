@@ -11,8 +11,11 @@
    fails, gaining one does not.
 
    A smoke run writes BENCH_<bench>.smoke.json and a full run
-   BENCH_<bench>.json, and [--check] compares against the committed
-   file of the run's own mode. A baseline from another build profile
+   BENCH_<bench>.json. A [--check] run compares against that file (the
+   committed baseline of the run's own mode) and writes its own report
+   beside it, to BENCH_<bench>[.smoke].check.json, so checking never
+   replaces the baseline; re-recording is the run without [--check].
+   A baseline from another build profile
    fails the check, since its host speeds say nothing about this
    build; one from another mode, and rows or metrics the baseline
    lacks, are skipped with a printed line. Benches pass their absolute
@@ -66,9 +69,10 @@ let make ~bench ~smoke ?(keys = []) rows =
     keys;
   }
 
-let file t =
-  if t.mode = "smoke" then Printf.sprintf "BENCH_%s.smoke.json" t.bench
-  else Printf.sprintf "BENCH_%s.json" t.bench
+let file ?(check = false) t =
+  Printf.sprintf "BENCH_%s%s%s.json" t.bench
+    (if t.mode = "smoke" then ".smoke" else "")
+    (if check then ".check" else "")
 
 (* ------------------------------------------------------------------ *)
 (* JSON text *)
@@ -360,9 +364,9 @@ let flags ?(check = false) bench =
     args;
   (List.mem "--smoke" args, List.mem "--check" args)
 
-(* Compare against the baseline when [check] (before overwriting it),
-   write the report, and exit 1 on any failure: the baseline's or one
-   of the bench's [failures]. *)
+(* Compare against the baseline when [check], write the report (beside
+   the baseline when checking, over it otherwise), and exit 1 on any
+   failure: the baseline's or one of the bench's [failures]. *)
 let finish ?check:(wanted = false) t failures =
   let say s = Printf.printf "%s: %s\n%!" t.bench s in
   let path = file t in
@@ -381,8 +385,9 @@ let finish ?check:(wanted = false) t failures =
           if fails = [] then say ("baseline check ok against " ^ path);
           fails
   in
-  write path t;
-  say ("wrote " ^ path);
+  let out = file ~check:wanted t in
+  write out t;
+  say ("wrote " ^ out);
   match base_fails @ failures with
   | [] -> ()
   | fs ->

@@ -214,16 +214,9 @@ let run_lz_full ?tracer ?(fast_paths = false) ?preempt ?(pmu = false) cm
 let run_lz ?tracer ?fast_paths ?preempt cm ~env ~mech ~domains ~n =
   (run_lz_full ?tracer ?fast_paths ?preempt cm ~env ~mech ~domains ~n).cycles
 
-(* Architectural state digest for the preemption- and snapshot-
-   transparency checks: everything the program and the module can
-   observe — GP registers, PC/SPs, PSTATE, retired instruction count,
-   translation root, zone bookkeeping, and the data pages the workload
-   touched. Cycle counts are deliberately excluded: interrupt entries
-   legitimately consume cycles without changing architectural state
-   (and a forked machine re-walks from a cold TLB). *)
-let zone_digest (t : Kmod.t) =
+(* The registers and zone bookkeeping [zone_digest] starts with. *)
+let add_zone_header b (t : Kmod.t) =
   let core = t.Kmod.core in
-  let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   Array.iter (fun v -> add "%x," v) core.Core.regs;
   add "pc=%x sp0=%x sp1=%x spsr=%x insns=%d ttbr0=%x pgts=%d gates=%d;"
@@ -232,16 +225,47 @@ let zone_digest (t : Kmod.t) =
     core.Core.insns
     (Sysreg.read core.Core.sys Sysreg.TTBR0_EL1)
     (Zone_tab.high_water t.Kmod.pgts)
-    (Zone_tab.length t.Kmod.pgts);
+    (Zone_tab.length t.Kmod.pgts)
+
+(* The physical address of each domain data page, in domain order,
+   each faulted in first as a user read would. *)
+let domain_pages (t : Kmod.t) =
   let domains =
     match Proc.find_vma t.Kmod.proc domains_va with
     | Some vma -> (vma.Vma.len + 4095) / 4096
     | None -> 0
   in
-  Buffer.add_bytes b
-    (Kernel.read_user t.Kmod.kernel t.Kmod.proc ~va:domains_va
-       ~len:(domains * 4096));
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  let phys = t.Kmod.kernel.Kernel.machine.Machine.phys in
+  Array.init domains (fun d ->
+      let va = domains_va + (d * 4096) in
+      Kernel.fault_in_page t.Kmod.kernel t.Kmod.proc ~va;
+      match Lz_mem.Stage1.walk phys ~root:t.Kmod.proc.Proc.root ~va with
+      | Ok w -> w.Lz_mem.Stage1.pa
+      | Error _ -> failwith "Switch_bench: domain page unmapped after fault-in")
+
+(* Architectural state digest for the preemption- and snapshot-
+   transparency checks: everything the program and the module can
+   observe — GP registers, PC/SPs, PSTATE, retired instruction count,
+   translation root, zone bookkeeping, and the data pages the workload
+   touched. Cycle counts are deliberately excluded: interrupt entries
+   legitimately consume cycles without changing architectural state
+   (and a forked machine re-walks from a cold TLB). *)
+let zone_digest (t : Kmod.t) =
+  let header = Buffer.create 1024 in
+  add_zone_header header t;
+  let h = Buffer.length header in
+  let pages = domain_pages t in
+  let phys = t.Kmod.kernel.Kernel.machine.Machine.phys in
+  (* One buffer of the final size: a buffer grown page by page leaves
+     freed copies behind that raise the peak heap by ~0.8 MiB. *)
+  let b = Bytes.create (h + (4096 * Array.length pages)) in
+  Buffer.blit header 0 b 0 h;
+  Array.iteri
+    (fun i pa ->
+      Bytes.blit (Lz_mem.Phys.read_bytes phys pa 4096) 0 b (h + (4096 * i))
+        4096)
+    pages;
+  Digest.to_hex (Digest.bytes b)
 
 let arch_digest (r : lz_run) = zone_digest r.t
 

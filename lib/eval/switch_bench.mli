@@ -82,6 +82,16 @@ val run_slice : ?max_insns:int -> Lightzone.Kmod.t -> unit
 (** Run one slice on a prepared (or forked) machine and rewind it
     again. Fails if the slice does not run to completion. *)
 
+val add_zone_header : Buffer.t -> Lightzone.Kmod.t -> unit
+(** The register and bookkeeping part of {!zone_digest}: GP registers,
+    PC/SPs, PSTATE, retired instructions, TTBR0 and the page-table
+    registry's high water and count. *)
+
+val domain_pages : Lightzone.Kmod.t -> int array
+(** The physical address of every domain data page, in domain order,
+    each faulted in first as a user read would: the pages
+    {!zone_digest} hashes. *)
+
 val zone_digest : Lightzone.Kmod.t -> string
 (** Architectural-state digest: GP registers, PC/SPs, PSTATE, retired
     instructions, TTBR0, zone bookkeeping and the domain data pages.

@@ -7,7 +7,7 @@
    engine, superblock engine — restoring the baseline in between.
    The engines must be architecturally indistinguishable: same
    outcome, same architectural digest, same cycle and instruction
-   counts, and a byte-identical traced event stream. Any difference
+   counts, and an identical traced event stream. Any difference
    is a divergence — a real bug in one of the engines or in the
    isolation machinery they drive.
 
@@ -56,6 +56,8 @@ type env = {
   mutable z : Kmod.t;
   mutable image : Snapshot.t;
   mutable cases_since_build : int;
+  image_pages : (int, Digest.t) Hashtbl.t;
+      (* frame number -> MD5 of [image]'s contents of that frame *)
 }
 
 let build cm ~domains ~slice_n =
@@ -69,7 +71,8 @@ let create ?(recycle_every = 400) ?slice_n ~domains cm =
     match slice_n with Some n -> n | None -> max 64 (2 * domains)
   in
   let z, image = build cm ~domains ~slice_n in
-  { cm; domains; slice_n; recycle_every; z; image; cases_since_build = 0 }
+  { cm; domains; slice_n; recycle_every; z; image; cases_since_build = 0;
+    image_pages = Hashtbl.create 256 }
 
 let maybe_recycle env =
   if env.cases_since_build >= env.recycle_every then begin
@@ -77,6 +80,7 @@ let maybe_recycle env =
     let z, image = build env.cm ~domains:env.domains ~slice_n:env.slice_n in
     env.z <- z;
     env.image <- image;
+    Hashtbl.reset env.image_pages;
     env.cases_since_build <- 0
   end
 
@@ -310,13 +314,40 @@ type run = {
   digest : string;
   cycles : int;
   insns : int;
-  ev_json : string list;  (** byte-compared across engines. *)
-  raw_events : Trace.event list;
+  ev_json : (int * Trace.event) list;
   span_rows : string list;
   fp : Fastpath.stats;
 }
 
-let run_one f base tr0 reset (c : Fuzz_case.t) engine =
+let page_md5 phys pa = Digest.bytes (Lz_mem.Phys.read_bytes phys pa 4096)
+
+(* The architectural digest of a fork: [Sb.zone_digest]'s header, then
+   one MD5 per domain page rather than the pages' bytes. A page still
+   bound to the slot the warm image pinned holds the image's bytes
+   (any write to it since would have unshared it), so its MD5 comes
+   from [env.image_pages], computed once per image; only the pages a
+   case wrote are hashed again. Equal digests still mean equal bytes,
+   page for page. *)
+let digest env (f : Kmod.t) =
+  let phys = f.Kmod.kernel.Kernel.machine.Machine.phys in
+  let b = Buffer.create 4096 in
+  Sb.add_zone_header b f;
+  Array.iter
+    (fun pa ->
+      let n = pa / Lz_mem.Phys.page_size in
+      Buffer.add_string b
+        (if not (Snapshot.same_frame f env.image n) then page_md5 phys pa
+         else
+           match Hashtbl.find_opt env.image_pages n with
+           | Some d -> d
+           | None ->
+               let d = page_md5 phys pa in
+               Hashtbl.add env.image_pages n d;
+               d))
+    (Sb.domain_pages f);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let run_one env f base tr0 reset (c : Fuzz_case.t) engine =
   ignore (Snapshot.restore f base);
   (match reset with Some r -> r () | None -> ());
   let core = f.Kmod.core in
@@ -329,7 +360,6 @@ let run_one f base tr0 reset (c : Fuzz_case.t) engine =
   Fastpath.reset_stats core.Core.fp;
   let start_cycles = core.Core.cycles in
   let outcome = Kmod.run ~max_insns:c.budget f in
-  let raw_events = Trace.events tr in
   let report =
     Span.of_trace ~start_cycles
       ~total_cycles:(core.Core.cycles - start_cycles) tr
@@ -337,11 +367,10 @@ let run_one f base tr0 reset (c : Fuzz_case.t) engine =
   {
     engine;
     outcome = outcome_string outcome;
-    digest = Sb.zone_digest f;
+    digest = digest env f;
     cycles = core.Core.cycles;
     insns = core.Core.insns;
-    ev_json = List.map Trace.event_to_json raw_events;
-    raw_events;
+    ev_json = List.map (fun e -> (0, e)) (Trace.events tr);
     span_rows = List.map (fun (r : Span.row) -> r.Span.name) report.Span.rows;
     fp = Fastpath.stats core.Core.fp;
   }
@@ -363,13 +392,14 @@ let compare_runs (r1 : run) (r2 : run) =
   else if r1.cycles <> r2.cycles then
     mk "cycles" (Printf.sprintf "%d vs %d" r1.cycles r2.cycles)
   else if r1.ev_json <> r2.ev_json then begin
+    let json (core, e) = Printf.sprintf "%d:%s" core (Trace.event_to_json e) in
     let rec first i a b =
       match (a, b) with
       | [], [] -> Printf.sprintf "event streams differ (lengths equal?)"
       | x :: _, [] | [], x :: _ ->
-          Printf.sprintf "event %d only on one side: %s" i x
+          Printf.sprintf "event %d only on one side: %s" i (json x)
       | x :: xs, y :: ys ->
-          if x <> y then Printf.sprintf "event %d: %s vs %s" i x y
+          if x <> y then Printf.sprintf "event %d: %s vs %s" i (json x) (json y)
           else first (i + 1) xs ys
     in
     mk "events" (first 0 r1.ev_json r2.ev_json)
@@ -409,13 +439,13 @@ let keys_of (c : Fuzz_case.t) (b : run) =
       add (term_key w))
     c.words;
   List.iter
-    (fun (ev : Trace.event) ->
+    (fun (_, (ev : Trace.event)) ->
       match ev.Trace.payload with
       | Trace.Trap_enter { ec; _ } -> add ("trap:" ^ Span.ec_name ec)
       | Trace.Sanitizer_scan { ok; _ } ->
           add (if ok then "scan:ok" else "scan:fail")
       | p -> add ("ev:" ^ Trace.payload_name p))
-    b.raw_events;
+    b.ev_json;
   List.iter (fun name -> add ("span:" ^ name)) b.span_rows;
   if b.fp.Fastpath.folds > 0 then add "blk:folds";
   if b.fp.Fastpath.side_exits > 0 then add "blk:side-exits";
@@ -623,16 +653,10 @@ let run_smp_engine cm (c : Fuzz_case.t) engine =
            Printf.sprintf "t%d=%s" tid (kernel_outcome_string o))
          outs)
   in
-  let ev_json = ref [] and raw_events = ref [] and span_rows = ref [] in
+  let ev_json = ref [] and span_rows = ref [] in
   Array.iteri
     (fun i tr ->
-      let evs = Trace.events tr in
-      ev_json :=
-        !ev_json
-        @ List.map
-            (fun e -> Printf.sprintf "%d:%s" i (Trace.event_to_json e))
-            evs;
-      raw_events := !raw_events @ evs;
+      ev_json := !ev_json @ List.map (fun e -> (i, e)) (Trace.events tr);
       let report =
         Span.of_trace ~total_cycles:cores.(i).Core.cycles tr
       in
@@ -647,7 +671,6 @@ let run_smp_engine cm (c : Fuzz_case.t) engine =
     cycles = Array.fold_left (fun a core -> a + core.Core.cycles) 0 cores;
     insns = Array.fold_left (fun a core -> a + core.Core.insns) 0 cores;
     ev_json = !ev_json;
-    raw_events = !raw_events;
     span_rows = List.sort_uniq compare !span_rows;
     fp = Fastpath.stats cores.(0).Core.fp;
   }
@@ -679,7 +702,7 @@ let run_case env (c : Fuzz_case.t) =
   install_words f ~va:scratch_code_va words;
   f.Kmod.core.Core.pc <- scratch_code_va;
   let base = Snapshot.capture f in
-  let runs = List.map (run_one f base tr0 reset c) Core.engines in
+  let runs = List.map (run_one env f base tr0 reset c) Core.engines in
   Snapshot.release f base;
   (* Hand the fork's VMID back: the next case's fork pops the same
      value the pin would have produced, so recycling keeps the event

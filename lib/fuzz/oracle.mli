@@ -5,7 +5,7 @@
     per-instruction and superblock engines, restoring the per-case
     baseline in between. The engines must agree on outcome,
     architectural digest, cycle/instruction counts and the traced
-    event stream byte-for-byte; anything else is a divergence.
+    event stream event for event; anything else is a divergence.
 
     Determinism: no wall-clock reads; [Api.next_vmid] is pinned so
     every fork re-enters under the same VMID (event streams carrying
@@ -20,6 +20,10 @@ type env = {
   mutable z : Lightzone.Kmod.t;
   mutable image : Lz_snap.Snapshot.t;
   mutable cases_since_build : int;
+  image_pages : (int, Digest.t) Hashtbl.t;
+      (** frame number -> MD5 of [image]'s contents of that frame,
+          filled as {!digest} meets the frames; emptied when the image
+          is rebuilt. *)
 }
 
 val create :
@@ -41,8 +45,10 @@ type run = {
   digest : string;
   cycles : int;
   insns : int;
-  ev_json : string list;  (** byte-compared across engines. *)
-  raw_events : Lz_trace.Trace.event list;
+  ev_json : (int * Lz_trace.Trace.event) list;
+      (** the traced events as (core, event) pairs, compared
+          structurally across engines; the core is 0 outside
+          smp-race. *)
   span_rows : string list;
   fp : Lz_cpu.Fastpath.stats;
 }
@@ -58,6 +64,14 @@ type result = {
 }
 
 val run_case : env -> Fuzz_case.t -> result
+
+val digest : env -> Lightzone.Kmod.t -> string
+(** The architectural digest each warm-kind engine run is compared on,
+    for a fork of [env]'s image: {!Lz_eval.Switch_bench.zone_digest}'s
+    header (registers, PC/SPs, PSTATE, retired instructions, TTBR0,
+    pgt high water and count) followed by one MD5 per domain page. A
+    page still bound to the slot the image pinned reuses its MD5 from
+    [env.image_pages]; any other page is hashed from its bytes. *)
 
 val core_state : Lz_cpu.Core.t -> string
 (** One core's part of the smp-race digest: every field

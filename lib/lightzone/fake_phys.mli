@@ -35,4 +35,11 @@ val clone : t -> t
 type state
 
 val capture : t -> state
+(** O(1): assignments are only ever added, so the state is the
+    assignment log as of now. *)
+
 val restore : t -> state -> unit
+(** Rewind the assignments to [state]. Restoring along the timeline
+    the state was captured in removes only the assignments added
+    since; restoring across timelines (the tables hold assignments the
+    state never saw) rebuilds the tables from the state. *)

@@ -606,8 +606,13 @@ let dirty_pages t s =
 let restore t s =
   check_snapshot t s ~who:"Phys.restore";
   let m = t.map in
-  let cur_len = Array.length m.slot_of
-  and old_len = Array.length s.s_slot_of in
+  let old_len = Array.length s.s_slot_of in
+  if Array.length m.slot_of < old_len then begin
+    let a = Array.make old_len (-1) in
+    Array.blit m.slot_of 0 a 0 (Array.length m.slot_of);
+    m.slot_of <- a
+  end;
+  let slots = m.slot_of in
   let dirty = ref 0 in
   (* A write after capture always unshares (the snapshot pins every
      slot it references), so "slot binding changed" is exactly "frame
@@ -616,27 +621,30 @@ let restore t s =
      so a decode or superblock cached in the abandoned timeline can
      never revalidate against a same-numbered generation from this
      one. Clean frames were never written — their counters are
-     already correct. *)
-  for n = 0 to max cur_len old_len - 1 do
-    let cur = if n < cur_len then m.slot_of.(n) else -1 in
+     already correct, and so are their refcounts: only a rebound
+     frame moves one reference from its current slot to the
+     snapshot's. The snapshot still pins its own slot, so the decref
+     can only free a slot the snapshot does not hold. *)
+  for n = 0 to Array.length slots - 1 do
+    let cur = slots.(n) in
     let old = if n < old_len then s.s_slot_of.(n) else -1 in
     if cur <> old then begin
       incr dirty;
-      bump_gen t n
+      bump_gen t n;
+      if old >= 0 then incref t.store old;
+      if cur >= 0 then decref t.store cur;
+      slots.(n) <- old
     end
   done;
-  (* Slots shared with the snapshot hold its capture-time reference,
-     so dropping the current map can never free one of them. *)
-  Array.iter (fun sl -> if sl >= 0 then decref t.store sl) m.slot_of;
-  let a = Array.make (max cur_len old_len) (-1) in
-  Array.blit s.s_slot_of 0 a 0 old_len;
-  m.slot_of <- a;
-  Array.iter (fun sl -> if sl >= 0 then incref t.store sl) m.slot_of;
   m.next_frame <- s.s_next_frame;
   m.free_list <- s.s_free_list;
   m.handed_out <- s.s_handed_out;
   invalidate_all_memos t;
   !dirty
+
+let same_frame t s n =
+  check_snapshot t s ~who:"Phys.same_frame";
+  slot_of t n = (if n < Array.length s.s_slot_of then s.s_slot_of.(n) else -1)
 
 let release t s =
   check_snapshot t s ~who:"Phys.release";

@@ -107,6 +107,13 @@ val restore : t -> snapshot -> int
     or drop correctly without a flush. The snapshot remains live and
     can be restored again. *)
 
+val same_frame : t -> snapshot -> int -> bool
+(** [same_frame t s n] is [true] iff frame number [n] of the view is
+    still bound to the slot the live snapshot [s] holds for it (or
+    both have it as a never-written hole). The snapshot pins that
+    slot, so every write to the frame since would have unshared it:
+    [true] means the frame's contents equal the captured ones. *)
+
 val release : t -> snapshot -> unit
 (** Drop the snapshot's pins. The snapshot must not be used again. *)
 

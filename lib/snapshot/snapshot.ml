@@ -241,6 +241,9 @@ let release (z : Kmod.t) s = Phys.release z.Kmod.machine.Machine.phys s.s_phys
 let dirty_pages (z : Kmod.t) s =
   Phys.dirty_pages z.Kmod.machine.Machine.phys s.s_phys
 
+let same_frame (z : Kmod.t) s n =
+  Phys.same_frame z.Kmod.machine.Machine.phys s.s_phys n
+
 (* ------------------------------------------------------------------ *)
 (* Forking *)
 

@@ -59,6 +59,11 @@ val release : Lightzone.Kmod.t -> t -> unit
 val dirty_pages : Lightzone.Kmod.t -> t -> int
 (** Frames diverged from the image, without restoring. *)
 
+val same_frame : Lightzone.Kmod.t -> t -> int -> bool
+(** [same_frame z s n]: frame number [n] of [z] (the machine the image
+    was captured from, or a {!fork} of it) still holds the image's
+    contents — {!Lz_mem.Phys.same_frame} on the machine's memory. *)
+
 val trace_mark : t -> (int * int) option
 (** (total, points_seen) of the tracer attached at capture time, if
     any — the event-ring position the snapshot corresponds to. *)

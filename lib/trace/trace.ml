@@ -37,7 +37,10 @@ type payload =
 type event = { seq : int; cycles : int; payload : payload }
 
 type t = {
-  ring : event option array;
+  (* Grown by doubling on demand, up to [capacity]: most tracers see a
+     few thousand events, so a full-capacity ring up front would cost
+     more to allocate than the run that fills it. *)
+  mutable ring : event array;
   capacity : int;
   decimate : int;
   mutable len : int;
@@ -58,7 +61,7 @@ let create ?(capacity = default_capacity) ?(decimate = 1) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   if decimate <= 0 then invalid_arg "Trace.create: decimate must be positive";
   {
-    ring = Array.make capacity None;
+    ring = [||];
     capacity;
     decimate;
     len = 0;
@@ -84,7 +87,7 @@ let points_seen t = t.points_seen
    where the snapshot was taken, so replayed events compare
    byte-identical against the reference ring's suffix. *)
 let clone_config ?total ?points_seen t =
-  { ring = Array.make t.capacity None;
+  { ring = [||];
     capacity = t.capacity;
     decimate = t.decimate;
     len = 0;
@@ -104,6 +107,12 @@ let is_boundary = function
       true
   | _ -> false
 
+(* [e] fills the new slots; only the first [t.len] are ever read. *)
+let grow t e =
+  let ring = Array.make (min t.capacity (max 64 (2 * t.len))) e in
+  Array.blit t.ring 0 ring 0 t.len;
+  t.ring <- ring
+
 let emit t ~cycles payload =
   let keep =
     t.decimate = 1 || is_boundary payload
@@ -114,7 +123,9 @@ let emit t ~cycles payload =
   in
   if keep then
     if t.len < t.capacity then begin
-      t.ring.(t.len) <- Some { seq = t.total; cycles; payload };
+      let e = { seq = t.total; cycles; payload } in
+      if t.len = Array.length t.ring then grow t e;
+      t.ring.(t.len) <- e;
       t.len <- t.len + 1
     end
     else t.dropped <- t.dropped + 1;
@@ -125,7 +136,7 @@ let emit_now t payload = emit t ~cycles:(t.clock ()) payload
 let events t =
   let out = ref [] in
   for i = t.len - 1 downto 0 do
-    match t.ring.(i) with Some e -> out := e :: !out | None -> ()
+    out := t.ring.(i) :: !out
   done;
   !out
 
@@ -135,7 +146,7 @@ let dropped t = t.dropped
 let capacity t = t.capacity
 
 let clear t =
-  Array.fill t.ring 0 t.capacity None;
+  t.ring <- [||];
   t.len <- 0;
   t.total <- 0;
   t.dropped <- 0

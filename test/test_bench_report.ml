@@ -84,6 +84,28 @@ let missing () =
   Alcotest.(check (list string)) "no failure" [] f;
   bool "says so" true (List.mem "new insns not in baseline, skipped" notes)
 
+(* A passing [--check] run leaves the baseline it read alone and writes
+   its own report beside it. *)
+let check_run_keeps_baseline () =
+  let cwd = Sys.getcwd () in
+  let dir = Filename.temp_dir "lz-bench-report" "" in
+  Sys.chdir dir;
+  let tidy () =
+    Array.iter Sys.remove (Sys.readdir ".");
+    Sys.chdir cwd;
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:tidy @@ fun () ->
+  let text path = In_channel.with_open_bin path In_channel.input_all in
+  write (file base) base;
+  let before = text (file base) in
+  let run = with_metric (float Higher "mips" 90.) in
+  finish ~check:true run [];
+  Alcotest.(check string) "baseline byte-identical" before (text (file base));
+  Alcotest.(check string)
+    "check report beside it" "BENCH_t.check.json" (file ~check:true run);
+  bool "check report holds the run" true (read (file ~check:true run) = run)
+
 let () =
   Alcotest.run "bench report"
     [ ( "committed",
@@ -95,4 +117,6 @@ let () =
           Alcotest.test_case "coverage keys" `Quick keys;
           Alcotest.test_case "build profile" `Quick profile;
           Alcotest.test_case "mode skips" `Quick mode;
-          Alcotest.test_case "missing row skips" `Quick missing ] ) ]
+          Alcotest.test_case "missing row skips" `Quick missing;
+          Alcotest.test_case "check run keeps its baseline" `Quick
+            check_run_keeps_baseline ] ) ]

@@ -159,6 +159,58 @@ let test_smp_core_state () =
       ("SP_EL1", fun c -> c.Lz_cpu.Core.sp_el1 <- c.Lz_cpu.Core.sp_el1 + 16);
       ("PSTATE", fun c -> c.Lz_cpu.Core.pstate.Lz_arm.Pstate.z <- true) ]
 
+(* The oracle's digest against a memo-free reference: the same header,
+   then the MD5 of each domain page as a user read returns it. On a
+   fork of the warm image, random byte stores into the domain pages
+   must keep the two equal, and move the digest exactly when a stored
+   byte differs from the one it replaces. The env rebuilds its image
+   every second case, and each test case runs one, so half the forks
+   come from a rebuilt image whose page digests were re-memoised. *)
+let rebuild_env = lazy (Oracle.create ~recycle_every:2 ~domains cm)
+
+let reference_digest (f : Lightzone.Kmod.t) =
+  let b = Buffer.create 4096 in
+  Lz_eval.Switch_bench.add_zone_header b f;
+  for d = 0 to domains - 1 do
+    Buffer.add_string b
+      (Digest.bytes
+         (Lz_kernel.Kernel.read_user f.Lightzone.Kmod.kernel
+            f.Lightzone.Kmod.proc ~va:(0x600000 + (d * 4096)) ~len:4096))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let prop_digest_matches_reference =
+  QCheck2.Test.make ~name:"oracle digest matches a memo-free reference"
+    ~count:40
+    QCheck2.Gen.(
+      list_size (int_range 1 10)
+        (triple (int_range 0 (domains - 1)) (int_range 0 4095)
+           (int_range 0 255)))
+    (fun stores ->
+      let env = Lazy.force rebuild_env in
+      let nop =
+        { Fuzz_case.kind = Fuzz_case.Stream; words = [||]; gate = 0;
+          param = 0; slice = 100; budget = 100 }
+      in
+      ignore (Oracle.run_case env nop);
+      let f = Lz_snap.Snapshot.fork env.Oracle.z env.Oracle.image in
+      Fun.protect ~finally:(fun () -> Lz_snap.Snapshot.retire_fork f)
+      @@ fun () ->
+      let kernel = f.Lightzone.Kmod.kernel and proc = f.Lightzone.Kmod.proc in
+      let agrees () = Oracle.digest env f = reference_digest f in
+      agrees ()
+      && List.for_all
+           (fun (d, off, v) ->
+             let va = 0x600000 + (d * 4096) + off in
+             let was = Lz_kernel.Kernel.read_user kernel proc ~va ~len:1 in
+             let before = Oracle.digest env f in
+             Lz_kernel.Kernel.write_user kernel proc ~va
+               (Bytes.make 1 (Char.chr v));
+             let after = Oracle.digest env f in
+             agrees ()
+             && (after <> before) = (Char.code (Bytes.get was 0) <> v))
+           stores)
+
 let () =
   let kind_cases =
     Array.to_list Fuzz_case.all_kinds
@@ -178,4 +230,6 @@ let () =
         [ Alcotest.test_case "irq-storm livelock bounded" `Quick
             test_storm_livelock_bounded;
           Alcotest.test_case "smp-race digest covers SPs and PSTATE" `Quick
-            test_smp_core_state ] ) ]
+            test_smp_core_state ] );
+      ( "digest",
+        [ QCheck_alcotest.to_alcotest prop_digest_matches_reference ] ) ]

@@ -711,6 +711,77 @@ let prop_destroy_free_order =
       Lz_table.destroy t;
       List.map (fun _ -> Lz_mem.Phys.alloc_frame phys) expected = expected)
 
+(* Fake_phys restores by undoing the assignments added since a capture
+   when it can and rebuilding otherwise; either way the tables must say
+   what a plain association list says. Restores pick any captured
+   state, so many land on a timeline a later restore abandoned. *)
+type fake_op = Assign of int | Capture | Restore of int | Clone
+
+let prop_fake_phys_restore =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (5, map (fun r -> Assign r) (int_range 0 23));
+          (2, return Capture);
+          (2, map (fun i -> Restore i) nat);
+          (1, return Clone) ])
+  in
+  let print = function
+    | Assign r -> Printf.sprintf "assign %d" r
+    | Capture -> "capture"
+    | Restore i -> Printf.sprintf "restore %d" i
+    | Clone -> "clone"
+  in
+  QCheck2.Test.make ~name:"fake-PA restore matches a model" ~count:300
+    ~print:QCheck2.Print.(list print)
+    QCheck2.Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+      let t = ref (Fake_phys.create Fake_phys.Sequential) in
+      (* model: (real, fake) pairs and the next fake address *)
+      let m = ref ([], 0x1000) in
+      let saved = ref [] in
+      let agrees () =
+        let pairs, _ = !m in
+        List.length pairs = Fake_phys.assigned !t
+        && List.for_all
+             (fun r ->
+               Fake_phys.fake_of_real !t (r * 4096)
+               = List.assoc_opt (r * 4096) pairs)
+             (List.init 24 Fun.id)
+        && List.for_all
+             (fun k ->
+               let fake = 0x1000 + (k * 4096) in
+               Fake_phys.real_of_fake !t fake
+               = Option.map fst (List.find_opt (fun (_, f) -> f = fake) pairs))
+             (List.init 64 Fun.id)
+      in
+      List.for_all
+        (fun o ->
+          (match o with
+          | Assign r ->
+              let real = (r * 4096) + (r land 7) in
+              let pairs, next = !m in
+              let want =
+                match List.assoc_opt (r * 4096) pairs with
+                | Some f -> f
+                | None ->
+                    m := ((r * 4096, next) :: pairs, next + 4096);
+                    next
+              in
+              if Fake_phys.assign !t ~real <> want then
+                QCheck2.Test.fail_reportf "assign %d: not %#x" r want
+          | Capture -> saved := (Fake_phys.capture !t, !m) :: !saved
+          | Restore i -> (
+              match !saved with
+              | [] -> ()
+              | l ->
+                  let st, model = List.nth l (i mod List.length l) in
+                  Fake_phys.restore !t st;
+                  m := model)
+          | Clone -> t := Fake_phys.clone !t);
+          agrees ())
+        ops)
+
 let () =
   Alcotest.run "lightzone"
     [ ( "sanitizer",
@@ -760,7 +831,8 @@ let () =
       ( "accounting",
         [ Alcotest.test_case "table memory" `Quick
             test_table_memory_accounting;
-          QCheck_alcotest.to_alcotest prop_destroy_free_order ] );
+          QCheck_alcotest.to_alcotest prop_destroy_free_order;
+          QCheck_alcotest.to_alcotest prop_fake_phys_restore ] );
       ( "asid recycling",
         [ Alcotest.test_case "14-bit wrap regression" `Quick
             test_asid_wrap_regression;

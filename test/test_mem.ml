@@ -536,13 +536,74 @@ let prop_s1_walk_matches_map =
       | Ok w -> w.pa = pa + 5
       | Error _ -> false)
 
+(* QCheck: Phys.restore moves a reference only for the frames whose
+   slot binding changed. The net counts must come out as if it had
+   dropped and re-taken every one: once every snapshot is released, no
+   slot is shared and each resident frame owns exactly one live slot.
+   Restores also bring back the captured contents. *)
+type phys_op =
+  | Write of int * int
+  | Zero of int
+  | Snap
+  | Restore of int
+  | Release of int
+
+let prop_restore_refcounts =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (5, map2 (fun k v -> Write (k, v)) (int_range 0 7) (int_range 1 255));
+          (1, map (fun k -> Zero k) (int_range 0 7));
+          (2, return Snap);
+          (2, map (fun i -> Restore i) nat);
+          (1, map (fun i -> Release i) nat) ])
+  in
+  QCheck2.Test.make ~name:"restore conserves slot refcounts" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+      let p = Phys.create () in
+      let frames = Array.init 8 (fun _ -> Phys.alloc_frame p) in
+      let model = Array.make 8 0 in
+      let snaps = ref [] in
+      let pick i = List.nth !snaps (i mod List.length !snaps) in
+      let contents_ok () =
+        Array.for_all2 (fun pa v -> Phys.read64 p (pa + 8) = v) frames model
+      in
+      let ok =
+        List.for_all
+          (fun o ->
+            (match o with
+            | Write (k, v) ->
+                Phys.write64 p (frames.(k) + 8) v;
+                model.(k) <- v
+            | Zero k ->
+                Phys.zero_frame p frames.(k);
+                model.(k) <- 0
+            | Snap -> snaps := (Phys.snapshot p, Array.copy model) :: !snaps
+            | Restore i when !snaps <> [] ->
+                let s, m = pick i in
+                ignore (Phys.restore p s);
+                Array.blit m 0 model 0 8
+            | Release i when !snaps <> [] ->
+                let ((s, _) as e) = pick i in
+                Phys.release p s;
+                snaps := List.filter (fun x -> x != e) !snaps
+            | Restore _ | Release _ -> ());
+            contents_ok ())
+          ops
+      in
+      List.iter (fun (s, _) -> Phys.release p s) !snaps;
+      let st = Phys.stats p in
+      ok && st.Phys.shared = 0 && st.Phys.store_slots = st.Phys.resident)
+
 let () =
   Alcotest.run "lz_mem"
     [ ( "phys",
         [ Alcotest.test_case "read/write" `Quick test_phys_rw;
           Alcotest.test_case "cross page" `Quick test_phys_cross_page;
           Alcotest.test_case "alloc/free" `Quick test_phys_alloc;
-          Alcotest.test_case "contiguous" `Quick test_phys_contiguous ] );
+          Alcotest.test_case "contiguous" `Quick test_phys_contiguous;
+          QCheck_alcotest.to_alcotest prop_restore_refcounts ] );
       ( "pte",
         [ Alcotest.test_case "stage1 bits" `Quick test_pte_s1;
           Alcotest.test_case "attr rewrite" `Quick test_pte_attr_rewrite;

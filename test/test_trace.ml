@@ -198,6 +198,33 @@ let test_ring_overflow () =
   check_int "clear empties the ring" 0 (Trace.len tr);
   check_int "clear resets drops" 0 (Trace.dropped tr)
 
+(* The ring grows on demand up to its capacity; a capacity-N ring fed
+   N+k events, across one or more growth steps, keeps the first N with
+   their sequence numbers and counts k dropped, before and after a
+   [clear]. *)
+let prop_ring_grows =
+  QCheck2.Test.make ~name:"growing ring drops newest" ~count:100
+    QCheck2.Gen.(pair (int_range 1 300) (int_range 0 300))
+    (fun (n, k) ->
+      let tr = Trace.create ~capacity:n () in
+      let fill () =
+        for i = 0 to n + k - 1 do
+          Trace.emit tr ~cycles:(3 * i) (Trace.Syscall { nr = i })
+        done;
+        let evs = Trace.events tr in
+        Trace.len tr = n && Trace.dropped tr = k && Trace.total tr = n + k
+        && List.length evs = n
+        && List.for_all2
+             (fun i (e : Trace.event) ->
+               e.Trace.seq = i && e.Trace.cycles = 3 * i
+               && e.Trace.payload = Trace.Syscall { nr = i })
+             (List.init n Fun.id) evs
+      in
+      let first = fill () in
+      Trace.clear tr;
+      let cleared = Trace.len tr = 0 && Trace.events tr = [] in
+      first && cleared && fill ())
+
 let contains s sub =
   let n = String.length sub in
   let rec go i =
@@ -494,7 +521,8 @@ let () =
       ( "ring",
         [ Alcotest.test_case "overflow drops newest, keeps earliest" `Quick
             test_ring_overflow;
-          Alcotest.test_case "json export" `Quick test_event_json ] );
+          Alcotest.test_case "json export" `Quick test_event_json;
+          q prop_ring_grows ] );
       ( "wiring",
         [ Alcotest.test_case "tlb flush events" `Quick test_tlb_flush_events ]
       );
