@@ -179,13 +179,14 @@ let profile_cmd =
     else
       Format.printf
         "  superblocks:       %.1f%% cache hits, %.1f insns/block, %.1f%% \
-         chained entries@.  trace trees:       %d folds (depth <= %d), %d \
-         side exits, %d retrains@."
+         chained entries, %d full polls@.  trace trees:       %d folds \
+         (depth <= %d), %d side exits, %d retrains@."
         (100. *. Lz_cpu.Fastpath.hit_rate b)
         (Lz_cpu.Fastpath.avg_block_len b)
         (100. *. Lz_cpu.Fastpath.chain_ratio b)
-        b.Lz_cpu.Fastpath.folds b.Lz_cpu.Fastpath.depth_max
-        b.Lz_cpu.Fastpath.side_exits b.Lz_cpu.Fastpath.retrains;
+        b.Lz_cpu.Fastpath.polls b.Lz_cpu.Fastpath.folds
+        b.Lz_cpu.Fastpath.depth_max b.Lz_cpu.Fastpath.side_exits
+        b.Lz_cpu.Fastpath.retrains;
     (* CoW frame-store economics of snapshot+fork (host machinery, so
        measured on a host image regardless of --env). *)
     let w = Lz_eval.Memory_eval.cow cm in

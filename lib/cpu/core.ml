@@ -1133,7 +1133,8 @@ let step t =
    - IRQ poll -> interrupt horizon.  [irq_horizon] lower-bounds the
      cycle at which [maybe_irq] could next return [Some _] given it
      just returned [None].  Its inputs (DAIF, GIC filters, timer
-     CVAL/CTL, PMU PMINTEN) change only via MSR/exception entry/ERET,
+     CVAL/CTL, PMU PMINTEN) change only via exception entry, ERET and
+     the MSRs and device MRSs that [Fastpath.ending_of] classes [Stop],
      which are block terminators, so inside a block — and across
      chain-followed plain branches — the bound stays valid and a
      cheap [cycles >= horizon] compare at each boundary is exact:
@@ -1142,10 +1143,16 @@ let step t =
 
    - iTLB front probe -> TLB generation check.  A front probe hits
      iff the TLB generation is unchanged since the last real fetch of
-     the same page (and blocks never cross pages, and the ASID/VMID
-     context can only change at a terminator), so an unchanged
-     generation lets the block count the hit without probing; any
-     change falls back to the real, fully accounted [fetch_pa].
+     the same page under the same ASID/VMID context (and blocks never
+     cross pages), so an unchanged generation lets the block count
+     the hit without probing; any change falls back to the real, fully
+     accounted [fetch_pa].  The context can change inside a block only
+     at MSR TTBR0_EL1 or MSR PAN, which carry effect bit 2: the fetch
+     after them is always the real [fetch_pa], which refreshes the
+     memoised MMU context, and the block continues only if that fetch
+     maps to the next instruction's recorded frame (gate pages sit in
+     the global TTBR1 half, so the call gate's own fetch never moves).
+     VTTBR/HCR writes and exception entry/return stay terminators.
 
    - decode lookup -> frame write-generation check.  Before every
      in-block instruction the frame generation is compared against
@@ -1189,10 +1196,11 @@ let blk_running = -3
    [exec].  The boundary generation re-checks are elided after
    instructions whose [b_eff] bits prove they cannot have moved the
    page or TLB generation — only the just-executed instruction can
-   move either between two in-block boundaries — and the proven
-   front-probe hits are accounted in one batch at exit, trap or not
-   (the counters are unobservable mid-block).  After a folded
-   conditional branch, [t.pc] is compared against the recorded hot
+   move either between two in-block boundaries — the fetch after a
+   translation-context write (bit 2) is always redone for real, and
+   the proven front-probe hits are accounted in one batch at exit,
+   trap or not (the counters are unobservable mid-block).  After a
+   folded conditional branch, [t.pc] is compared against the recorded hot
    direction: a match continues the trace, a mismatch leaves through
    the side exit with the cold target in [t.pc].  One loop over int
    locals: nothing here allocates. *)
@@ -1236,17 +1244,24 @@ let exec_block t (blk : Fastpath.block) ~max_n ~horizon ~tgen ~tmark =
          if k = 0 then
            (* The dispatcher already fetched and accounted insn 0. *)
            exec t code.(0) ~pc_cur ~next:(pc_cur + 4)
-         else if eff.(k - 1) land 1 = 0 || Tlb.gen tlb = !tg then begin
+         else if
+           let e = eff.(k - 1) in
+           e land 4 = 0 && (e land 1 = 0 || Tlb.gen tlb = !tg)
+         then begin
            (* The TLB generation still equals [tg] — provably when the
               previous instruction touched no memory, so the counter is
-              not even re-read — and the front probe would hit. *)
+              not even re-read — and the translation context is the
+              one of the last real fetch, so the front probe would
+              hit. *)
            incr pending_hits;
            exec t code.(k) ~pc_cur ~next:(pc_cur + 4)
          end
          else begin
-           (* A data-side walk moved the shared TLB under us: redo the
-              architectural instruction fetch exactly as the per-insn
-              path would (front probe, walk charges, possible fault). *)
+           (* A data-side walk moved the shared TLB under us, or the
+              previous instruction switched the translation context:
+              redo the architectural instruction fetch exactly as the
+              per-insn path would (memoised context refresh, front
+              probe, walk charges, possible fault). *)
            let pa = fetch_pa t ~pc_cur in
            tg := Tlb.gen tlb;
            if pa = ipa.(k) then exec t code.(k) ~pc_cur ~next:(pc_cur + 4)
@@ -1293,10 +1308,12 @@ let exec_block t (blk : Fastpath.block) ~max_n ~horizon ~tgen ~tmark =
    through ([blk_end]: it ran through its terminator). *)
 let rec blocks_full t remaining =
   if remaining <= 0 then Limit
-  else
+  else begin
+    t.fp.Fastpath.st_polls <- t.fp.Fastpath.st_polls + 1;
     match maybe_irq t with
     | Some s -> s
     | None -> blocks_entry t remaining (irq_horizon t) None blk_end
+  end
 
 (* Enter the block at [t.pc].  Precondition: either the dispatcher
    just polled ([src = None]), or the previous block ended in a plain

@@ -9,8 +9,9 @@ open Lz_mem
    unconditional in-page B are folded into it: the block continues
    along the observed hot direction and the other direction leaves
    through a recorded side exit that re-enters block dispatch.  A
-   block ends at the first unfolded branch, exception-generating or
-   system instruction, at the page boundary, or at [max_block_insns].
+   block ends at the first unfolded branch, at the first instruction
+   [ending_of] classes [Stop] (exception-generating and most system
+   instructions), at the page boundary, or at [max_block_insns].
    Validity is anchored to the frame's write generation captured at
    build time ([b_dgen]) and to the cache epoch ([b_epoch], bumped by
    flush/reset to sever chain links into dropped blocks); [b_dead]
@@ -119,6 +120,7 @@ type t = {
   mutable st_folds : int;
   mutable st_depth_max : int;
   mutable st_retrains : int;
+  mutable st_polls : int;
 }
 
 let insns_per_page = Phys.page_size / 4
@@ -154,7 +156,8 @@ let create engine =
     st_side_exits = 0;
     st_folds = 0;
     st_depth_max = 0;
-    st_retrains = 0 }
+    st_retrains = 0;
+    st_polls = 0 }
 
 let flush_decode t =
   (* IC IALLU: every cached block and memoized chain link predates the
@@ -242,14 +245,38 @@ let retrain_min = 16
    dispatcher may follow a memoized chain link under the same
    interrupt horizon.  [Cond off]: a conditional branch with taken
    byte-offset [off] — fold candidate; when unfolded it behaves as
-   [Chain].  Folded or not, these are pure PC writes: they can never
-   change DAIF, translation, GIC/timer/PMU state, so side exits keep
-   the interrupt horizon valid (horizon inputs change only at [Stop]
-   terminators).  [Stop]: exception-generating or system instructions
-   (MSR/MRS, barriers, cache/TLB maintenance, ERET...) that can change
-   translation, DAIF, GIC/timer/PMU state or flush this very cache —
-   the dispatcher must return to a full poll. *)
+   [Chain].  Folded or not, these are pure PC writes, so side exits
+   keep the interrupt horizon valid.  [Straight]: the block goes on
+   past it — ALU and memory operations, and the system instructions
+   that touch no interrupt-horizon input: ISB, MRS of a register-file
+   value, and the two translation-context writes of the call gate,
+   MSR TTBR0_EL1 and MSR PAN (effect bit 2 of [eff_of] makes the
+   executor refetch after them).  [Stop]: everything else — the other
+   MSRs, MRS of DAIF, CNTVCT_EL0 or a device the core services (PMU,
+   timer, GIC: the first access attaches it, an IAR1 read
+   acknowledges) or the debug unit, DSB, cache/TLB maintenance,
+   ERET, WFI and the exception-generating instructions — which can
+   change DAIF, GIC/timer/PMU state, HCR/VTTBR translation or flush
+   this very cache: the dispatcher must return to a full poll.  So the
+   interrupt-horizon inputs still change only at [Stop] terminators. *)
 type ending = Straight | Chain | Cond of int | Stop
+
+(* Registers whose MRS reads the register file, NZCV or SP_EL0 and
+   nothing else; MRS of any other register ends a block. *)
+let mrs_in_block = function
+  | Sysreg.TTBR0_EL1 | Sysreg.TTBR1_EL1 | Sysreg.TCR_EL1 | Sysreg.SCTLR_EL1
+  | Sysreg.MAIR_EL1 | Sysreg.VBAR_EL1 | Sysreg.ESR_EL1 | Sysreg.ELR_EL1
+  | Sysreg.SPSR_EL1 | Sysreg.FAR_EL1 | Sysreg.SP_EL0 | Sysreg.SP_EL1
+  | Sysreg.CONTEXTIDR_EL1 | Sysreg.CPACR_EL1 | Sysreg.CNTKCTL_EL1
+  | Sysreg.TPIDR_EL0 | Sysreg.TPIDRRO_EL0 | Sysreg.CNTFRQ_EL0 | Sysreg.FPCR
+  | Sysreg.FPSR | Sysreg.NZCV | Sysreg.HCR_EL2 | Sysreg.VTTBR_EL2
+  | Sysreg.VTCR_EL2 | Sysreg.TTBR0_EL2 | Sysreg.TCR_EL2 | Sysreg.SCTLR_EL2
+  | Sysreg.VBAR_EL2 | Sysreg.ESR_EL2 | Sysreg.ELR_EL2 | Sysreg.SPSR_EL2
+  | Sysreg.FAR_EL2 | Sysreg.HPFAR_EL2 | Sysreg.CPTR_EL2 | Sysreg.MDCR_EL2
+  | Sysreg.TPIDR_EL2 | Sysreg.CNTHCTL_EL2 | Sysreg.VPIDR_EL2
+  | Sysreg.VMPIDR_EL2 ->
+      true
+  | _ -> false
 
 let ending_of = function
   | Insn.Movz _ | Insn.Movk _ | Insn.Mov_reg _ | Insn.Add _ | Insn.Sub _
@@ -257,8 +284,11 @@ let ending_of = function
   | Insn.Lsl_imm _ | Insn.Lsr_imm _ | Insn.Nop | Insn.Ldr _ | Insn.Str _
   | Insn.Ldrb _ | Insn.Ldr32 _ | Insn.Str32 _ | Insn.Strb _ | Insn.Ldr_reg _
   | Insn.Str_reg _ | Insn.Ldtr _ | Insn.Sttr _ | Insn.Ldtrb _ | Insn.Sttrb _
-    ->
+  | Insn.Isb
+  | Insn.Msr (Sysreg.TTBR0_EL1, _)
+  | Insn.Msr_pstate (Insn.PAN, _) ->
       Straight
+  | Insn.Mrs (_, r) when mrs_in_block r -> Straight
   | Insn.Bcond (_, off) | Insn.Cbz (_, off) | Insn.Cbnz (_, off) -> Cond off
   | Insn.B _ | Insn.Bl _ | Insn.Br _ | Insn.Blr _ | Insn.Ret _ -> Chain
   | _ -> Stop
@@ -270,8 +300,12 @@ let ending_of = function
    memory (a store can move the code frame's write generation
    mid-block).  After an instruction with a bit clear, the matching
    generation re-check at the next boundary is provably a no-op.
-   Anything unrecognized conservatively carries both bits, which is
-   always sound. *)
+   Bit 2 (4) — it may change the translation context (TTBR0_EL1 or
+   PSTATE.PAN): the next fetch is redone for real, refreshing the
+   memoised MMU context, and the block leaves unless the fetch still
+   maps to the next instruction's frame.  Anything unrecognized
+   conservatively carries bits 0 and 1; only a [Straight] instruction
+   needs bit 2, since a block ends after any other. *)
 let eff_of = function
   | Insn.Ldr _ | Insn.Ldrb _ | Insn.Ldr32 _ | Insn.Ldr_reg _ | Insn.Ldtr _
   | Insn.Ldtrb _ ->
@@ -279,11 +313,12 @@ let eff_of = function
   | Insn.Str _ | Insn.Strb _ | Insn.Str32 _ | Insn.Str_reg _ | Insn.Sttr _
   | Insn.Sttrb _ ->
       3
+  | Insn.Msr (Sysreg.TTBR0_EL1, _) | Insn.Msr_pstate (Insn.PAN, _) -> 4
   | Insn.Movz _ | Insn.Movk _ | Insn.Mov_reg _ | Insn.Add _ | Insn.Sub _
   | Insn.Subs _ | Insn.And_reg _ | Insn.Orr_reg _ | Insn.Eor_reg _
   | Insn.Lsl_imm _ | Insn.Lsr_imm _ | Insn.Nop | Insn.Bcond _ | Insn.Cbz _
   | Insn.Cbnz _ | Insn.B _ | Insn.Bl _ | Insn.Br _ | Insn.Blr _ | Insn.Ret _
-    ->
+  | Insn.Isb | Insn.Mrs _ ->
       0
   | _ -> 3
 
@@ -543,6 +578,7 @@ type stats = {
   folds : int;
   depth_max : int;
   retrains : int;
+  polls : int;
 }
 
 let stats t =
@@ -554,7 +590,8 @@ let stats t =
     side_exits = t.st_side_exits;
     folds = t.st_folds;
     depth_max = t.st_depth_max;
-    retrains = t.st_retrains }
+    retrains = t.st_retrains;
+    polls = t.st_polls }
 
 let reset_stats t =
   t.st_hits <- 0;
@@ -565,7 +602,8 @@ let reset_stats t =
   t.st_side_exits <- 0;
   t.st_folds <- 0;
   t.st_depth_max <- 0;
-  t.st_retrains <- 0
+  t.st_retrains <- 0;
+  t.st_polls <- 0
 
 let ratio num den = if den = 0 then nan else float_of_int num /. float_of_int den
 

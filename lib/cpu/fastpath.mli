@@ -39,14 +39,16 @@ and block = {
       (** per-instruction effect bits (see {!eff_of}): bit 0 — may
           access memory, bit 1 — may write memory. The executor skips
           the matching boundary re-check after instructions with the
-          bit clear. *)
+          bit clear. Bit 2 (4) — may change the translation context:
+          the executor redoes the next fetch for real. *)
   b_folds : int;  (** folded conditionals in this block (tree depth). *)
   b_chainable : bool;
       (** the block ends in a plain branch or falls through — control
           flow that cannot disturb interrupt-delivery state, so the
           dispatcher may follow a chain link under the same interrupt
-          horizon. Folded branches and side exits preserve the same
-          invariant: horizon inputs change only at Stop terminators. *)
+          horizon. Folded branches, side exits and the in-block system
+          instructions preserve the same invariant: horizon inputs
+          change only at Stop terminators. *)
   b_epoch : int;
   mutable b_dead : bool;
       (** retired by bias retraining; never re-entered via memos. *)
@@ -98,6 +100,7 @@ type t = {
   mutable st_folds : int;
   mutable st_depth_max : int;
   mutable st_retrains : int;
+  mutable st_polls : int;
 }
 
 val create : engine -> t
@@ -138,28 +141,33 @@ type ending = Straight | Chain | Cond of int | Stop
 
 val ending_of : Lz_arm.Insn.t -> ending
 (** Block-formation class of one instruction. [Cond off] (B.cond,
-    CBZ, CBNZ — fold candidates) and [Chain] are pure PC writes: they
-    can never change DAIF, translation or GIC/timer/PMU state, which
-    is what keeps the interrupt horizon valid across side exits and
-    chain follows (horizon inputs change only at [Stop]
-    terminators). *)
+    CBZ, CBNZ — fold candidates) and [Chain] are pure PC writes.
+    [Straight] covers ALU and memory operations plus ISB, MRS of
+    register-file values, MSR TTBR0_EL1 and MSR PAN. None of them can
+    change DAIF or GIC/timer/PMU state, which is what keeps the
+    interrupt horizon valid across a block, its side exits and chain
+    follows (horizon inputs change only at [Stop] terminators). Of
+    them, only MSR TTBR0_EL1 and MSR PAN change the translation
+    context, and they carry {!eff_of} bit 2. *)
 
 val eff_of : Lz_arm.Insn.t -> int
 (** Effect bits of one instruction: bit 0 — may access memory (a
     data-side miss can move the shared TLB generation mid-block),
     bit 1 — may write memory (a store can move the code frame's write
-    generation mid-block). Pure instructions return [0]; anything
-    unrecognized conservatively returns both bits. The block executor
-    elides the per-boundary generation re-checks after instructions
-    whose bits are clear — an exact equivalence, since only the
-    just-executed instruction can move those generations between two
-    in-block boundaries. *)
+    generation mid-block), bit 2 (value 4) — may change the
+    translation context (MSR TTBR0_EL1, MSR PAN). Pure instructions
+    return [0]; anything unrecognized conservatively returns bits 0
+    and 1. The block executor elides the per-boundary generation
+    re-checks after instructions whose bits are clear — an exact
+    equivalence, since only the just-executed instruction can move
+    those generations between two in-block boundaries — and after
+    bit 2 redoes the next instruction fetch for real. *)
 
 val block_at : t -> Lz_mem.Phys.t -> int -> block
 (** The superblock starting at physical address [pa], from cache or
     freshly built (decoding forward, folding hot branches, until an
-    unfolded branch, an exception-generating/system instruction, the
-    page boundary or {!max_block_insns}). Counts a cache hit or a
+    unfolded branch, a [Stop] instruction, the page boundary or
+    {!max_block_insns}). Counts a cache hit or a
     build in {!stats}. *)
 
 val kill_block : t -> Lz_mem.Phys.t -> block -> unit
@@ -209,6 +217,9 @@ type stats = {
   folds : int;  (** conditional branches folded at build time. *)
   depth_max : int;  (** most folded branches in a single block. *)
   retrains : int;  (** blocks retired after a bias flip. *)
+  polls : int;
+      (** full interrupt polls: dispatches through [Core.blocks_full],
+          as opposed to chained entries. *)
 }
 
 val stats : t -> stats

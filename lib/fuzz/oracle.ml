@@ -419,12 +419,24 @@ let verdict_key = function
   | Sanitizer.Gate_only -> "san:gate-only"
   | Sanitizer.Forbidden _ -> "san:forbidden"
 
+(* The payload word's instruction class: ALU and memory operations,
+   unconditional and conditional branches, and the rest (system and
+   exception-generating instructions). Keyed by class rather than by
+   [Fastpath.ending_of], so that moving an instruction in or out of
+   superblocks does not change what a case covers and re-steer the
+   seed-pinned campaign. *)
 let term_key w =
-  match Fastpath.ending_of (Encoding.decode w) with
-  | Fastpath.Straight -> "term:straight"
-  | Fastpath.Chain -> "term:chain"
-  | Fastpath.Cond _ -> "term:cond"
-  | Fastpath.Stop -> "term:stop"
+  match Encoding.decode w with
+  | Insn.Movz _ | Insn.Movk _ | Insn.Mov_reg _ | Insn.Add _ | Insn.Sub _
+  | Insn.Subs _ | Insn.And_reg _ | Insn.Orr_reg _ | Insn.Eor_reg _
+  | Insn.Lsl_imm _ | Insn.Lsr_imm _ | Insn.Nop | Insn.Ldr _ | Insn.Str _
+  | Insn.Ldrb _ | Insn.Ldr32 _ | Insn.Str32 _ | Insn.Strb _ | Insn.Ldr_reg _
+  | Insn.Str_reg _ | Insn.Ldtr _ | Insn.Sttr _ | Insn.Ldtrb _ | Insn.Sttrb _
+    ->
+      "term:straight"
+  | Insn.Bcond _ | Insn.Cbz _ | Insn.Cbnz _ -> "term:cond"
+  | Insn.B _ | Insn.Bl _ | Insn.Br _ | Insn.Blr _ | Insn.Ret _ -> "term:chain"
+  | _ -> "term:stop"
 
 (* Coverage signature keys of one case, from the superblock run (the
    richest path) plus the static classification of the payload. *)

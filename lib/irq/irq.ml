@@ -30,10 +30,11 @@ let pending t ~now ~pmu_line =
    [pending] could first return [Some _], given that it returned
    [None] at cycle [now] and that only the level-sensitive inputs
    (timer condition, PMU overflow) can change before the next
-   exception-generating or system instruction.  Everything else that
+   instruction that reconfigures delivery.  Everything else that
    feeds delivery — GIC latches/filters, DAIF, HCR routing — mutates
-   only at such instructions, which the block engine treats as block
-   terminators, so the bound stays valid across a straight-line block.
+   only at exception entry, ERET and the MSR/MRS accesses to DAIF,
+   HCR and the GIC/timer/PMU registers, which the block engine treats
+   as block terminators, so the bound stays valid across a block.
    [pmu_hot] marks a PMU whose overflow interrupt is enabled
    (PMINTENSET != 0): its assert time depends on the instruction mix,
    so the bound degrades to "right now" and blocks shrink to single

@@ -26,10 +26,11 @@ val pending : t -> now:int -> pmu_line:bool -> int option
 
 val horizon : t -> now:int -> pmu_hot:bool -> int
 (** Lower bound on the cycle count at which {!pending} could first
-    return [Some _], assuming it returned [None] at [now] and that no
-    exception-generating or system instruction executes in between
-    (those can reconfigure the GIC/timer/PMU and invalidate the
-    bound). [max_int] when no attached source can ever assert.
+    return [Some _], assuming it returned [None] at [now] and that
+    nothing in between takes or returns from an exception, writes
+    DAIF or HCR, or accesses a GIC/timer/PMU register (those can
+    reconfigure delivery and invalidate the bound). [max_int] when no
+    attached source can ever assert.
     [pmu_hot] flags a PMU with overflow interrupts enabled, whose
     assert time is instruction-dependent: the bound then collapses to
     [now]. Drives the block engine's interrupt-horizon guard. *)

@@ -57,6 +57,42 @@ let test_table5_golden () =
     "zone digest" "26ea2a392237faf10fb6e3370d23b592"
     (Lz_eval.Switch_bench.zone_digest r.Lz_eval.Switch_bench.t)
 
+(* The call gate's MSR TTBR0_EL1, ISB and MRS run inside one block, so
+   a warm 128-domain slice enters 4 blocks per switch (main loop,
+   access function up to the gate call, gate, access function tail)
+   plus 3 for the program's prologue and exit, and the dispatcher's
+   full interrupt polls do not grow with the switch count. Slices of
+   50 and 100 switches take no demand faults once warm, so their
+   polls are only the run's first and the exit trap's. *)
+let test_table5_blocks_per_switch () =
+  let warm_slice n =
+    let r =
+      Lz_eval.Switch_bench.prepare Lz_cpu.Cost_model.cortex_a55
+        ~env:Lz_eval.Switch_bench.Host ~domains:128 ~n
+    in
+    let t = r.Lz_eval.Switch_bench.t in
+    let fp = t.Lightzone.Kmod.core.Lz_cpu.Core.fp in
+    Lz_cpu.Core.set_engine t.Lightzone.Kmod.core Lz_cpu.Core.Blocks;
+    let rec warm budget =
+      Lz_cpu.Fastpath.reset_stats fp;
+      Lz_eval.Switch_bench.run_slice t;
+      if (Lz_cpu.Fastpath.stats fp).Lz_cpu.Fastpath.blk_builds > 0 then
+        if budget = 0 then Alcotest.fail "blocks still building"
+        else warm (budget - 1)
+    in
+    warm 8;
+    Lz_cpu.Fastpath.reset_stats fp;
+    Lz_eval.Switch_bench.run_slice t;
+    Lz_cpu.Fastpath.stats fp
+  in
+  let check_int = Alcotest.(check int) in
+  let a = warm_slice 50 and b = warm_slice 100 in
+  check_int "entries, 50 switches" ((4 * 50) + 3) a.Lz_cpu.Fastpath.blk_entries;
+  check_int "entries, 100 switches" ((4 * 100) + 3)
+    b.Lz_cpu.Fastpath.blk_entries;
+  check_int "polls, 50 switches" 2 a.Lz_cpu.Fastpath.polls;
+  check_int "polls, 100 switches" 2 b.Lz_cpu.Fastpath.polls
+
 let test_lz_trap_beats_host_on_carmel () =
   (* The paper's headline: the Section 5.2 optimization makes a
      LightZone syscall cheaper than a host syscall on Carmel. *)
@@ -177,6 +213,8 @@ let () =
       ( "table5",
         [ Alcotest.test_case "golden 128-domain run" `Quick
             test_table5_golden;
+          Alcotest.test_case "4 blocks per warm switch" `Quick
+            test_table5_blocks_per_switch;
           Alcotest.test_case "orderings" `Slow test_table5_orderings;
           Alcotest.test_case "scales past 16" `Slow
             test_table5_scales_past_16 ] );

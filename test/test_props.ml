@@ -653,17 +653,25 @@ let run_to_brk what core =
   | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
   | s -> Alcotest.failf "%s: unexpected stop %a" what Core.pp_stop s
 
-(* [run_to_brk] under the generic timer, servicing every tick
-   harness-side; returns the tick count. *)
-let run_preempted what core ~slice =
-  let iv = Core.attach_irq core in
-  Lz_irq.Irq.init iv;
-  Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles ~slice;
+(* [run_to_brk], servicing harness-side every generic-timer tick when
+   [slice] is given, and every instruction abort through [on_iabort]
+   (which must leave the core resumable); returns the tick count. *)
+let run_serviced ?slice ?on_iabort what core =
+  let timer =
+    Option.map
+      (fun slice ->
+        let iv = Core.attach_irq core in
+        Lz_irq.Irq.init iv;
+        Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles ~slice;
+        (iv, slice))
+      slice
+  in
   let ticks = ref 0 in
   let rec loop () =
-    match Core.run ~max_insns:max_int core with
-    | Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _) -> ()
-    | Core.Trap_el1 (Core.Ec_irq intid) ->
+    match (Core.run ~max_insns:max_int core, timer, on_iabort) with
+    | (Core.Trap_el1 (Core.Ec_brk _) | Core.Trap_el2 (Core.Ec_brk _)), _, _ ->
+        ()
+    | Core.Trap_el1 (Core.Ec_irq intid), Some (iv, slice), _ ->
         ignore (Lz_irq.Irq.ack iv);
         if intid = Lz_irq.Gic.ppi_el1_timer then begin
           incr ticks;
@@ -674,7 +682,10 @@ let run_preempted what core ~slice =
         Lz_irq.Irq.eoi iv intid;
         Core.eret_from_el1 core;
         loop ()
-    | s -> Alcotest.failf "%s: unexpected stop %a" what Core.pp_stop s
+    | Core.Trap_el1 (Core.Ec_iabort _), _, Some f ->
+        f core;
+        loop ()
+    | s, _, _ -> Alcotest.failf "%s: unexpected stop %a" what Core.pp_stop s
   in
   loop ();
   !ticks
@@ -740,7 +751,7 @@ let prop_smc_equivalent =
    identical instruction boundaries (the interrupt-horizon guard). *)
 let preempted_observe ~iters ~slice name engine =
   let env = Lz_workloads.Microbench.build ~engine ~iters name in
-  let ticks = run_preempted "preempt" env.core ~slice in
+  let ticks = run_serviced ~slice "preempt" env.core in
   Differential.observe ~pages:env.data_pas
     ~extra:[ ("ticks", string_of_int ticks) ]
     env.core
@@ -761,11 +772,12 @@ let prop_preempt_equivalent =
    conditional branches into blocks with side exits; these properties
    pin down the three invariants that make that sound:
 
-   - the horizon invariant: everything the builder classifies as
-     Straight/Cond/Chain is a pure register/memory/pc operation, so
-     the interrupt-horizon inputs (DAIF, GIC, timer, PMU) can only
-     move at Stop terminators and side exits never invalidate a
-     computed horizon;
+   - the horizon invariant: nothing the block former keeps inside a
+     block or chains across (Straight, Cond, Chain) can move an
+     interrupt-horizon input (DAIF, GIC, timer, PMU), so those inputs
+     move only at Stop terminators and side exits never invalidate a
+     computed horizon; and only the instructions carrying effect bit 2
+     change the translation context in-block;
    - architectural invisibility under *retraining*: generated
      branch-heavy programs that flip branch bias mid-run (so trees
      form along one direction and must re-form along the other) stay
@@ -779,30 +791,113 @@ let prop_preempt_equivalent =
 module Fastpath = Lz_cpu.Fastpath
 module Trace = Lz_trace.Trace
 
-let prop_ending_horizon_pure =
-  QCheck2.Test.make
-    ~name:"fastpath: only Stop terminators can move the interrupt horizon"
-    ~count:5000 arbitrary_word (fun w ->
-      let insn = Encoding.decode w in
-      match Fastpath.ending_of insn with
-      | Fastpath.Stop -> true
-      | Fastpath.Cond _ -> (
-          (* Cond must be exactly the foldable branches: a pc-relative
-             conditional whose both outcomes are static. *)
-          match insn with
-          | Insn.Bcond _ | Insn.Cbz _ | Insn.Cbnz _ -> true
-          | _ -> false)
-      | Fastpath.Straight | Fastpath.Chain -> (
-          (* Nothing that can touch DAIF, sysregs, the GIC/timer or
-             cache/TLB maintenance may be folded into a block body. *)
-          match insn with
-          | Insn.Msr _ | Insn.Mrs _ | Insn.Msr_pstate _ | Insn.Svc _
-          | Insn.Hvc _ | Insn.Smc _ | Insn.Brk _ | Insn.Eret | Insn.Wfi
-          | Insn.Isb | Insn.Dsb | Insn.Tlbi_vmalle1 | Insn.Tlbi_aside1 _
-          | Insn.At_s1e1r _ | Insn.Dc_civac _ | Insn.Ic_iallu
-          | Insn.Udf _ ->
-              false
-          | _ -> true))
+let horizon_code_va = 0x10000
+let horizon_data_va = 0x20000
+
+(* One instruction of every non-system class, then the whole system
+   and exception-generating space: every modelled register under MSR
+   and MRS, every PSTATE field, every other system instruction. x1
+   holds the mapped data address, x2 a value no horizon input or
+   translation register holds. *)
+let horizon_cases =
+  [ Insn.Movz (3, 1, 0); Insn.Movk (3, 1, 16); Insn.Mov_reg (3, 2);
+    Insn.Add (3, 2, Insn.Imm 1); Insn.Sub (3, 2, Insn.Reg 2);
+    Insn.Subs (3, 2, Insn.Imm 1); Insn.And_reg (3, 2, 2);
+    Insn.Orr_reg (3, 2, 2); Insn.Eor_reg (3, 2, 2); Insn.Lsl_imm (3, 2, 3);
+    Insn.Lsr_imm (3, 2, 3); Insn.Nop; Insn.Ldr (3, 1, 8); Insn.Str (2, 1, 8);
+    Insn.Ldrb (3, 1, 1); Insn.Strb (2, 1, 1); Insn.Ldr32 (3, 1, 4);
+    Insn.Str32 (2, 1, 4); Insn.Ldr_reg (3, 1, 31); Insn.Str_reg (2, 1, 31);
+    Insn.Ldtr (3, 1, 8); Insn.Sttr (2, 1, 8); Insn.Ldtrb (3, 1, 1);
+    Insn.Sttrb (2, 1, 1); Insn.B 8; Insn.Bcond (Insn.NE, 8); Insn.Bl 8;
+    Insn.Br 1; Insn.Blr 1; Insn.Ret 1; Insn.Cbz (2, 8); Insn.Cbnz (2, 8);
+    Insn.Svc 0; Insn.Hvc 0; Insn.Smc 0; Insn.Brk 0; Insn.Eret; Insn.Isb;
+    Insn.Dsb; Insn.Tlbi_vmalle1; Insn.Tlbi_aside1 2; Insn.Tlbi_vmalle1is;
+    Insn.Tlbi_vae1is 2; Insn.Tlbi_aside1is 2; Insn.At_s1e1r 1;
+    Insn.Dc_civac 1; Insn.Ic_iallu; Insn.Wfi; Insn.Udf 0 ]
+  @ List.concat_map (fun r -> [ Insn.Msr (r, 2); Insn.Mrs (3, r) ]) Sysreg.all
+  @ List.concat_map
+      (fun f -> List.map (fun imm -> Insn.Msr_pstate (f, imm)) [ 0; 1; 0xF ])
+      [ Insn.PAN; Insn.SPSel; Insn.DAIFSet; Insn.DAIFClr; Insn.UAO ]
+
+(* The [irq_horizon] inputs: DAIF, the GIC CPU interface and
+   distributor, the timer, and the PMU's overflow-interrupt enables. *)
+let horizon_inputs (core : Core.t) =
+  match (core.Core.irqc, core.Core.pmu) with
+  | Some iv, Some p ->
+      ( core.Core.pstate.Pstate.daif,
+        Lz_irq.Gic.capture iv.Lz_irq.Irq.gic,
+        Lz_irq.Timer.capture iv.Lz_irq.Irq.timer,
+        Pmu.read_inten p )
+  | _ -> Alcotest.fail "horizon: IRQ fabric or PMU detached"
+
+let mmu_inputs (core : Core.t) =
+  let r = Sysreg.read core.Core.sys in
+  ( (r Sysreg.TTBR0_EL1, r Sysreg.TTBR1_EL1, r Sysreg.HCR_EL2,
+     r Sysreg.VTTBR_EL2),
+    (core.Core.pstate.Pstate.el, core.Core.pstate.Pstate.pan) )
+
+(* Execute [insn] at EL1, after a NOP whose boundary poll settles the
+   fabric, on a core whose timer is either armed far ahead with IRQs
+   unmasked, or [masked] and already pending in the GIC (so that an
+   acknowledging read shows). *)
+let horizon_step ~masked insn =
+  let data = { Pte.user = true; read_only = false; uxn = true; pxn = true;
+               ng = true } in
+  let core, _ =
+    fresh_core ~engine:Core.Per_insn
+      [ (horizon_code_va, page ~w:false ~x:true,
+         [ Insn.Nop; insn; Insn.Brk 0 ]);
+        (horizon_data_va, data, []) ]
+  in
+  Core.set_reg core 1 horizon_data_va;
+  Core.set_reg core 2 0x5A5A_5A5A_5A5A;
+  ignore (Core.attach_pmu core);
+  let iv = Core.attach_irq core in
+  Lz_irq.Irq.init iv;
+  if masked then core.Core.pstate.Pstate.daif <- 2;
+  Lz_irq.Timer.program iv.Lz_irq.Irq.timer ~now:core.Core.cycles
+    ~slice:(if masked then 1 else 1_000_000);
+  if Core.step core <> None then Alcotest.fail "horizon: NOP trapped";
+  if masked then
+    ignore (Lz_irq.Irq.pending iv ~now:core.Core.cycles ~pmu_line:false);
+  let h0 = horizon_inputs core and m0 = mmu_inputs core in
+  match Core.step core with
+  | Some _ -> None (* raised: the dispatcher delivers it and re-polls *)
+  | None -> Some (h0 = horizon_inputs core, m0 = mmu_inputs core)
+
+let test_ending_horizon_pure () =
+  List.iter
+    (fun insn ->
+      let name = Format.asprintf "%a" Insn.pp insn in
+      match (Fastpath.ending_of insn, insn) with
+      | Fastpath.Stop, _ -> ()
+      | Fastpath.Cond _, (Insn.Bcond _ | Insn.Cbz _ | Insn.Cbnz _)
+      | (Fastpath.Straight | Fastpath.Chain), _ ->
+          List.iter
+            (fun masked ->
+              match horizon_step ~masked insn with
+              | None -> ()
+              | Some (horizon_kept, mmu_kept) ->
+                  if not horizon_kept then
+                    Alcotest.failf "%s moved an interrupt-horizon input" name;
+                  if Fastpath.eff_of insn land 4 = 0 && not mmu_kept then
+                    Alcotest.failf
+                      "%s changed the translation context without effect \
+                       bit 2"
+                      name)
+            [ false; true ]
+      | Fastpath.Cond _, _ ->
+          Alcotest.failf "%s is Cond but not a foldable branch" name)
+    horizon_cases;
+  (* The call gate's MSR TTBR0_EL1, ISB and MRS stay inside its block. *)
+  List.iter
+    (fun insn ->
+      Alcotest.(check bool)
+        (Format.asprintf "%a in-block" Insn.pp insn)
+        true
+        (Fastpath.ending_of insn = Fastpath.Straight))
+    [ Insn.Msr (Sysreg.TTBR0_EL1, 12); Insn.Isb;
+      Insn.Mrs (12, Sysreg.TTBR0_EL1) ]
 
 (* A tiny two-pass assembler with symbolic labels, so generated
    branchy programs don't hand-compute byte offsets. *)
@@ -920,7 +1015,7 @@ let prop_branchy_equivalent =
    trace trees over the branchy generator). *)
 let branchy_preempted_observe ~slice prog engine =
   let core, pas = branchy_env ~engine prog in
-  let ticks = run_preempted "branchy preempt" core ~slice in
+  let ticks = run_serviced ~slice "branchy preempt" core in
   Differential.observe ~pages:pas ~extra:[ ("ticks", string_of_int ticks) ] core
 
 let prop_branchy_preempt_equivalent =
@@ -1021,6 +1116,136 @@ let prop_sx_smc_equivalent =
     (fun (iters, with_ic) ->
       let o = Differential.across_engines (sx_smc_observe ~iters ~with_ic) in
       o.Differential.regs.(6) > 0)
+
+(* In-block translation changes. MSR TTBR0_EL1 does not end a block:
+   the executor redoes the next fetch for real and leaves the block
+   unless it maps to the next instruction's frame. Generated loops in
+   the TTBR0 half switch, mid-block, to a root that maps the code page
+   to the same frame, to a mirror frame whose code differs only in its
+   constants, or to nothing (an instruction abort the harness resolves
+   by switching back), follow the switch with a store into the
+   executing code page, a TLBI or an IC IALLU, and switch back. *)
+type xl_target = Xl_same | Xl_other | Xl_unmapped
+type xl_after = Xl_plain | Xl_store | Xl_tlbi | Xl_ic
+
+let xl_code_va = 0x10000
+let xl_data_va = 0x20000
+
+(* The loop, as laid out in both code frames: [mirror] shifts only
+   the constants that the x6/x7 accumulators add, so a block that
+   runs on in the wrong frame shows in them. x20-x23 hold the TTBR0
+   values of the code root and of the three targets. *)
+let xl_program ~ttbrs ~mirror segs iters =
+  let b = Builder.create ~base:xl_code_va in
+  List.iteri
+    (fun i v ->
+      Builder.mov_imm64 b (20 + i) v;
+      Builder.emit b [ Insn.Movk (20 + i, v lsr 48, 48) ])
+    ttbrs;
+  Builder.mov_imm64 b 1 xl_data_va;
+  Builder.mov_imm64 b 11 xl_code_va;
+  Builder.mov_imm64 b 9 (Encoding.encode (Insn.Movz (13, 0, 0)));
+  Builder.emit b [ Insn.Movz (0, iters, 0); Insn.Movz (12, 0xFF, 0) ];
+  let loop = Builder.here b in
+  List.iteri
+    (fun j (target, after) ->
+      let reg =
+        match target with Xl_same -> 21 | Xl_other -> 22 | Xl_unmapped -> 23
+      in
+      Builder.emit b
+        [ Insn.Add (5, 5, Insn.Imm (j + 1));
+          Insn.Ldr (4, 1, 0);
+          Insn.Msr (Sysreg.TTBR0_EL1, reg) ];
+      (match after with
+      | Xl_plain -> ()
+      | Xl_store ->
+          (* Patch the MOVZ right after the store with the counter. *)
+          Builder.emit b
+            [ Insn.And_reg (8, 0, 12);
+              Insn.Lsl_imm (8, 8, 5);
+              Insn.Orr_reg (10, 9, 8) ];
+          Builder.emit b
+            [ Insn.Str32 (10, 11, Builder.here b + 4 - xl_code_va);
+              Insn.Movz (13, 0, 0);
+              Insn.Add (14, 14, Insn.Reg 13) ]
+      | Xl_tlbi -> Builder.emit b [ Insn.Tlbi_vmalle1 ]
+      | Xl_ic -> Builder.emit b [ Insn.Ic_iallu ]);
+      Builder.emit b
+        [ Insn.Add (6, 6, Insn.Imm (j + 1 + (100 * mirror)));
+          Insn.Str (6, 1, 8);
+          Insn.Msr (Sysreg.TTBR0_EL1, 20);
+          Insn.Add (7, 7, Insn.Imm (j + 1 + (7 * mirror))) ])
+    segs;
+  Builder.emit b [ Insn.Sub (0, 0, Insn.Imm 1) ];
+  Builder.emit b [ Insn.Cbnz (0, loop - Builder.here b); Insn.Brk 0 ];
+  fst (Builder.finish b)
+
+let xl_observe ~segs ~iters ~slice ~traced engine =
+  let phys = Phys.create () in
+  let frame () = Phys.alloc_frame phys in
+  let code_a = frame () and code_b = frame () and data = frame () in
+  let roots = List.init 4 (fun _ -> Stage1.create_root phys) in
+  let ttbrs =
+    List.mapi (fun i root -> Mmu.ttbr_value ~root ~asid:(i + 1)) roots
+  in
+  let wx = page ~w:true ~x:true in
+  List.iteri
+    (fun i root ->
+      Stage1.map_page phys ~root ~va:xl_data_va ~pa:data
+        (page ~w:true ~x:false);
+      match i with
+      | 0 | 1 -> Stage1.map_page phys ~root ~va:xl_code_va ~pa:code_a wx
+      | 2 -> Stage1.map_page phys ~root ~va:xl_code_va ~pa:code_b wx
+      | _ -> ())
+    roots;
+  List.iter
+    (fun (pa, mirror) ->
+      List.iteri
+        (fun i insn ->
+          Phys.write32 phys (pa + (4 * i)) (Encoding.encode insn))
+        (xl_program ~ttbrs ~mirror segs iters))
+    [ (code_a, 0); (code_b, 1) ];
+  let core =
+    Core.create ~engine phys (Tlb.create ()) Lz_cpu.Cost_model.cortex_a55
+      Pstate.EL1
+  in
+  let tr = if traced then Some (Trace.create ~capacity:100_000 ()) else None in
+  Core.set_tracer core tr;
+  Sysreg.write core.Core.sys Sysreg.TTBR0_EL1 (List.hd ttbrs);
+  core.Core.pc <- xl_code_va;
+  let aborts = ref 0 in
+  let on_iabort core =
+    incr aborts;
+    Sysreg.write core.Core.sys Sysreg.TTBR0_EL1 (List.hd ttbrs);
+    Core.eret_from_el1 core
+  in
+  let ticks = run_serviced ?slice ~on_iabort "xl" core in
+  let events =
+    match tr with
+    | Some tr -> List.map Trace.event_to_json (Trace.events tr)
+    | None -> []
+  in
+  Differential.observe ~pages:[ code_a; code_b; data ]
+    ~extra:
+      [ ("ticks", string_of_int ticks); ("aborts", string_of_int !aborts);
+        ("events", String.concat "\n" events) ]
+    core
+
+let prop_xl_equivalent =
+  QCheck2.Test.make
+    ~name:"core: in-block translation changes are engine-invariant (3-way)"
+    ~count:40
+    QCheck2.Gen.(
+      quad
+        (list_size (int_range 1 4)
+           (pair
+              (oneofl [ Xl_same; Xl_other; Xl_unmapped ])
+              (oneofl [ Xl_plain; Xl_store; Xl_tlbi; Xl_ic ])))
+        (int_range 1 60)
+        (opt (int_range 97 1500))
+        bool)
+    (fun (segs, iters, slice, traced) ->
+      engines_agree (xl_observe ~segs ~iters ~slice ~traced))
 
 (* ------------------------------------------------------------------ *)
 (* Fault-around equivalence: clustering demand faults (and the
@@ -1233,11 +1458,14 @@ let () =
           q prop_smc_equivalent;
           q prop_preempt_equivalent ] );
       ( "trace-trees",
-        [ q prop_ending_horizon_pure;
+        [ Alcotest.test_case
+            "fastpath: only Stop terminators can move the interrupt horizon"
+            `Quick test_ending_horizon_pure;
           q prop_branchy_equivalent;
           q prop_branchy_preempt_equivalent;
           q prop_branchy_traced_equivalent;
-          q prop_sx_smc_equivalent ] );
+          q prop_sx_smc_equivalent;
+          q prop_xl_equivalent ] );
       ( "fault-around", [ q prop_fault_around_equivalent ] );
       ( "aes", [ q prop_aes_roundtrip; q prop_aes_cbc_roundtrip ] );
       ( "lightzone",
