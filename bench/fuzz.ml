@@ -23,7 +23,6 @@ let () =
   let domains = 128 in
   let cfg =
     {
-      Campaign.default_config with
       Campaign.seed;
       cases;
       domains;
@@ -35,8 +34,7 @@ let () =
     "fuzz: campaign seed 0x%X, %d cases, %d domains, corpus %s/\n%!" seed
     cases domains dir;
   let t0 = now () in
-  let env = Oracle.create ~recycle_every:cfg.Campaign.recycle_every ~domains
-      Lz_cpu.Cost_model.cortex_a55 in
+  let env = Oracle.create ~domains Lz_cpu.Cost_model.cortex_a55 in
   let warm_seconds = now () -. t0 in
   Printf.printf "fuzz: warm image built in %.2fs\n%!" warm_seconds;
   let t1 = now () in

@@ -57,6 +57,18 @@ let float ?(dp = 3) tag name x =
   let x = if Float.is_finite x then x else 0. in
   { name; tag; value = Float (float_of_string (Printf.sprintf "%.*f" dp x)) }
 
+(* The revision a report names: [rev] plus "+dirty" when the tracked
+   files differ from it, so a report recorded on uncommitted changes
+   does not pass for one of [rev]'s code. [dirty] is [None] when git
+   cannot say, and the revision stays plain. *)
+let rev_stamp rev ~dirty = if dirty = Some true then rev ^ "+dirty" else rev
+
+let tree_dirty () =
+  match Sys.command "git diff --quiet HEAD >/dev/null 2>&1" with
+  | 0 -> Some false
+  | 1 -> Some true
+  | _ -> None
+
 let make ~bench ~smoke ?(keys = []) rows =
   {
     bench;
@@ -64,7 +76,7 @@ let make ~bench ~smoke ?(keys = []) rows =
     build_profile = Build_profile.name;
     host_cpus = Domain.recommended_domain_count ();
     ocaml = Sys.ocaml_version;
-    git_rev = Hostbench.Bench.git_rev ();
+    git_rev = rev_stamp (Hostbench.Bench.git_rev ()) ~dirty:(tree_dirty ());
     rows;
     keys;
   }

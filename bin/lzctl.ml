@@ -228,7 +228,6 @@ let fuzz_cmd =
     let run cm cases seed dir domains =
       let cfg =
         {
-          Lz_fuzz.Campaign.default_config with
           Lz_fuzz.Campaign.seed;
           cases;
           domains;
@@ -236,10 +235,7 @@ let fuzz_cmd =
           log = (fun s -> Format.printf "%s@." s);
         }
       in
-      let env =
-        Lz_fuzz.Oracle.create ~recycle_every:cfg.Lz_fuzz.Campaign.recycle_every
-          ~domains cm
-      in
+      let env = Lz_fuzz.Oracle.create ~domains cm in
       let stats = Lz_fuzz.Campaign.run ~env cfg in
       Format.printf "%d cases: %d corpus entries, %d coverage keys, %d \
                      divergences@."

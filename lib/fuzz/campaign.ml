@@ -13,7 +13,6 @@ type config = {
   cases : int;
   domains : int;
   dir : string option;  (** corpus directory (None = in-memory only). *)
-  recycle_every : int;
   log : string -> unit;
 }
 
@@ -23,7 +22,6 @@ let default_config =
     cases = 2000;
     domains = 128;
     dir = None;
-    recycle_every = 400;
     log = ignore;
   }
 
@@ -54,8 +52,7 @@ let run ?(env : Oracle.env option) (cfg : config) =
     match env with
     | Some e -> e
     | None ->
-        Oracle.create ~recycle_every:cfg.recycle_every ~domains:cfg.domains
-          Lz_cpu.Cost_model.cortex_a55
+        Oracle.create ~domains:cfg.domains Lz_cpu.Cost_model.cortex_a55
   in
   let rng = Random.State.make [| cfg.seed; 0x1279; cfg.domains |] in
   let corpus_tbl : (string, unit) Hashtbl.t = Hashtbl.create 256 in

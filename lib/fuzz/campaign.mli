@@ -10,7 +10,6 @@ type config = {
   cases : int;
   domains : int;
   dir : string option;  (** corpus directory ([None] = in-memory only). *)
-  recycle_every : int;
   log : string -> unit;
 }
 

@@ -11,12 +11,11 @@
    is a divergence — a real bug in one of the engines or in the
    isolation machinery they drive.
 
-   Determinism: the campaign never reads the clock, the VMID
+   Determinism: the campaign never reads the clock, and the VMID
    allocator is pinned (every fork re-enters under the same VMID, so
-   event streams carrying VMIDs compare equal across cases and runs),
-   and dropped fork views are reclaimed by rebuilding the warm image
-   every [recycle_every] cases (the CoW store has no per-view
-   disposal). *)
+   event streams carrying VMIDs compare equal across cases and runs).
+   The image is built once per env: each retired fork gives its
+   memory back, so the store holds the image plus one live fork. *)
 
 module Sb = Lz_eval.Switch_bench
 module Snapshot = Lz_snap.Snapshot
@@ -51,38 +50,25 @@ let debug_cost_skew : (Fuzz_case.t -> int) option ref = ref None
 type env = {
   cm : Lz_cpu.Cost_model.t;
   domains : int;
-  slice_n : int;
-  recycle_every : int;
-  mutable z : Kmod.t;
-  mutable image : Snapshot.t;
-  mutable cases_since_build : int;
+  z : Kmod.t;
+  image : Snapshot.t;
   image_pages : (int, Digest.t) Hashtbl.t;
       (* frame number -> MD5 of [image]'s contents of that frame *)
+  blank : Lz_mem.Phys.t Lazy.t;
+      (* never written: each smp-race engine run's memory is a clone.
+         Made at the first smp-race case, so a set-up does not pay for
+         its 4 MiB arena. *)
 }
 
-let build cm ~domains ~slice_n =
-  Api.next_vmid := vmid_base;
-  Api.reset_fork_vmids ();
-  let r = Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n in
-  (r.Sb.t, Snapshot.capture r.Sb.t)
-
-let create ?(recycle_every = 400) ?slice_n ~domains cm =
+let create ?slice_n ~domains cm =
   let slice_n =
     match slice_n with Some n -> n | None -> max 64 (2 * domains)
   in
-  let z, image = build cm ~domains ~slice_n in
-  { cm; domains; slice_n; recycle_every; z; image; cases_since_build = 0;
-    image_pages = Hashtbl.create 256 }
-
-let maybe_recycle env =
-  if env.cases_since_build >= env.recycle_every then begin
-    Snapshot.release env.z env.image;
-    let z, image = build env.cm ~domains:env.domains ~slice_n:env.slice_n in
-    env.z <- z;
-    env.image <- image;
-    Hashtbl.reset env.image_pages;
-    env.cases_since_build <- 0
-  end
+  Api.next_vmid := vmid_base;
+  Api.reset_fork_vmids ();
+  let r = Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n in
+  { cm; domains; z = r.Sb.t; image = Snapshot.capture r.Sb.t;
+    image_pages = Hashtbl.create 256; blank = lazy (Lz_mem.Phys.create ()) }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario setup on a fresh fork *)
@@ -319,6 +305,16 @@ type run = {
   fp : Fastpath.stats;
 }
 
+(* The coverage keys read the span rows of the blocks run alone, and
+   the other runs must match it on outcome, cycles and events, which
+   fix the rows: the slow and per-insn runs skip the analysis. *)
+let span_rows engine ?start_cycles ~total_cycles tr =
+  if engine <> Core.Blocks then []
+  else
+    List.map
+      (fun (r : Span.row) -> r.Span.name)
+      (Span.of_trace ?start_cycles ~total_cycles tr).Span.rows
+
 let page_md5 phys pa = Digest.bytes (Lz_mem.Phys.read_bytes phys pa 4096)
 
 (* The architectural digest of a fork: [Sb.zone_digest]'s header, then
@@ -360,10 +356,6 @@ let run_one env f base tr0 reset (c : Fuzz_case.t) engine =
   Fastpath.reset_stats core.Core.fp;
   let start_cycles = core.Core.cycles in
   let outcome = Kmod.run ~max_insns:c.budget f in
-  let report =
-    Span.of_trace ~start_cycles
-      ~total_cycles:(core.Core.cycles - start_cycles) tr
-  in
   {
     engine;
     outcome = outcome_string outcome;
@@ -371,7 +363,9 @@ let run_one env f base tr0 reset (c : Fuzz_case.t) engine =
     cycles = core.Core.cycles;
     insns = core.Core.insns;
     ev_json = List.map (fun e -> (0, e)) (Trace.events tr);
-    span_rows = List.map (fun (r : Span.row) -> r.Span.name) report.Span.rows;
+    span_rows =
+      span_rows engine ~start_cycles
+        ~total_cycles:(core.Core.cycles - start_cycles) tr;
     fp = Fastpath.stats core.Core.fp;
   }
 
@@ -564,8 +558,15 @@ let core_state core =
        (fun (n, v) -> n ^ "=" ^ v)
        (Lz_cpu.Differential.fields (Lz_cpu.Differential.observe core)))
 
-let run_smp_engine cm (c : Fuzz_case.t) engine =
-  let machine = Machine.create ~cost:cm () in
+let run_smp_engine env (c : Fuzz_case.t) engine =
+  (* A clone of the never-written store is a fresh memory (frames from
+     1, all holes) whose slots come from, and go back to, one shared
+     arena instead of a new 4 MiB one per run. *)
+  let machine =
+    { Machine.phys = Lz_mem.Phys.cow_clone (Lazy.force env.blank);
+      tlb = Lz_mem.Tlb.create ~capacity:120 ();
+      cost = env.cm }
+  in
   let kernel = Kernel.create machine Kernel.Host_vhe in
   let proc = Kernel.create_process kernel in
   for k = 0 to 3 do
@@ -665,16 +666,13 @@ let run_smp_engine cm (c : Fuzz_case.t) engine =
            Printf.sprintf "t%d=%s" tid (kernel_outcome_string o))
          outs)
   in
-  let ev_json = ref [] and span_rows = ref [] in
+  Lz_mem.Phys.drop_view machine.Machine.phys;
+  let ev_json = ref [] and rows = ref [] in
   Array.iteri
     (fun i tr ->
       ev_json := !ev_json @ List.map (fun e -> (i, e)) (Trace.events tr);
-      let report =
-        Span.of_trace ~total_cycles:cores.(i).Core.cycles tr
-      in
-      span_rows :=
-        !span_rows
-        @ List.map (fun (r : Span.row) -> r.Span.name) report.Span.rows)
+      rows :=
+        !rows @ span_rows engine ~total_cycles:cores.(i).Core.cycles tr)
     tracers;
   {
     engine;
@@ -683,7 +681,7 @@ let run_smp_engine cm (c : Fuzz_case.t) engine =
     cycles = Array.fold_left (fun a core -> a + core.Core.cycles) 0 cores;
     insns = Array.fold_left (fun a core -> a + core.Core.insns) 0 cores;
     ev_json = !ev_json;
-    span_rows = List.sort_uniq compare !span_rows;
+    span_rows = List.sort_uniq compare !rows;
     fp = Fastpath.stats cores.(0).Core.fp;
   }
 
@@ -692,13 +690,11 @@ let result_of (c : Fuzz_case.t) runs =
   { runs; divergence = first_divergence runs; keys = keys_of c blocks_run }
 
 let run_smp_race_case env (c : Fuzz_case.t) =
-  result_of c (List.map (run_smp_engine env.cm c) Core.engines)
+  result_of c (List.map (run_smp_engine env c) Core.engines)
 
 let run_case env (c : Fuzz_case.t) =
   if c.kind = Fuzz_case.Smp_race then run_smp_race_case env c
   else begin
-  maybe_recycle env;
-  env.cases_since_build <- env.cases_since_build + 1;
   Api.next_vmid := vmid_base + 1;
   let f = Snapshot.fork env.z env.image in
   let tr0 = Trace.create ~capacity:16384 () in
@@ -716,9 +712,10 @@ let run_case env (c : Fuzz_case.t) =
   let base = Snapshot.capture f in
   let runs = List.map (run_one env f base tr0 reset c) Core.engines in
   Snapshot.release f base;
-  (* Hand the fork's VMID back: the next case's fork pops the same
-     value the pin would have produced, so recycling keeps the event
-     streams (which carry VMIDs) byte-stable across the campaign. *)
+  (* Hand the fork's memory and VMID back: the next case's fork reuses
+     the freed slots and pops the same VMID the pin would have
+     produced, so the event streams (which carry VMIDs) stay
+     byte-stable across the campaign. *)
   Snapshot.retire_fork f;
   result_of c runs
   end

@@ -9,26 +9,29 @@
 
     Determinism: no wall-clock reads; [Api.next_vmid] is pinned so
     every fork re-enters under the same VMID (event streams carrying
-    VMIDs stay comparable); dropped fork views are reclaimed by
-    rebuilding the warm image every [recycle_every] cases. *)
+    VMIDs stay comparable). The warm image is built once: each case
+    retires its fork ({!Lz_snap.Snapshot.retire_fork}), giving the
+    fork's slots back, so the store holds the image plus one live
+    fork. *)
 
 type env = {
   cm : Lz_cpu.Cost_model.t;
   domains : int;
-  slice_n : int;
-  recycle_every : int;
-  mutable z : Lightzone.Kmod.t;
-  mutable image : Lz_snap.Snapshot.t;
-  mutable cases_since_build : int;
+  z : Lightzone.Kmod.t;
+  image : Lz_snap.Snapshot.t;
   image_pages : (int, Digest.t) Hashtbl.t;
       (** frame number -> MD5 of [image]'s contents of that frame,
-          filled as {!digest} meets the frames; emptied when the image
-          is rebuilt. *)
+          filled as {!digest} meets the frames; valid as long as the
+          env. *)
+  blank : Lz_mem.Phys.t Lazy.t;
+      (** a store never written, made at the first smp-race case: each
+          smp-race engine run builds its machine over a
+          {!Lz_mem.Phys.cow_clone} of it, a fresh memory, and drops the
+          clone after its digest. *)
 }
 
 val create :
-  ?recycle_every:int -> ?slice_n:int -> domains:int ->
-  Lz_cpu.Cost_model.t -> env
+  ?slice_n:int -> domains:int -> Lz_cpu.Cost_model.t -> env
 (** Build the warm image (pinning the VMID allocator) and wrap it for
     per-case forking. [slice_n] defaults to [max 64 (2 * domains)]. *)
 
@@ -50,6 +53,10 @@ type run = {
           structurally across engines; the core is 0 outside
           smp-race. *)
   span_rows : string list;
+      (** span names of the run's trace ({!Lz_trace.Span.of_trace}),
+          for the blocks run only: {!keys_of} reads no other run's,
+          and the others must match it on outcome, cycles and events,
+          which fix the rows. [[]] for the slow and per-insn runs. *)
   fp : Lz_cpu.Fastpath.stats;
 }
 

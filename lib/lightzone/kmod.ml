@@ -46,9 +46,13 @@ type t = {
   ttbrtab_pa : int;
   pgts : Lz_table.t Zone_tab.t;
   asids : Asid_alloc.t;
-  asid_pgt : int array;
+  asid_pgt : int array ref;
     (* asid -> pgt id + 1 (0 = no live table): the O(1) inverse the
-       fault path uses to resolve TTBR0 to a zone without scanning. *)
+       fault path uses to resolve TTBR0 to a zone without scanning.
+       Grown on demand, so an index rebuilt for ~100 live zones costs
+       ~100 entries rather than the whole ASID space; behind a [ref]
+       so thread records ([new_thread]) share one index, as they share
+       [shadow]. *)
   shadow : shadow ref;
   mutable terminated : string option;
   mutable traps : int;
@@ -177,7 +181,15 @@ let new_pgt t =
       ~asid
   in
   Zone_tab.set t.pgts id tbl;
-  t.asid_pgt.(asid) <- id + 1;
+  let index = !(t.asid_pgt) in
+  let len = Array.length index in
+  if asid < len then index.(asid) <- id + 1
+  else begin
+    let grown = Array.make (max (asid + 1) (2 * len)) 0 in
+    Array.blit index 0 grown 0 len;
+    grown.(asid) <- id + 1;
+    t.asid_pgt := grown
+  end;
   Gate.set_ttbr t.machine.Machine.phys ~ttbrtab_pa:t.ttbrtab_pa ~pgt:id
     ~ttbr:(Lz_table.ttbr tbl);
   id
@@ -192,9 +204,10 @@ let pgt_ttbr t id = Lz_table.ttbr (Zone_tab.get t.pgts id)
 let current_pgt t =
   let ttbr0 = Sysreg.read t.core.Core.sys Sysreg.TTBR0_EL1 in
   let asid = Mmu.ttbr_asid ttbr0 in
-  if asid >= Array.length t.asid_pgt then None
+  let index = !(t.asid_pgt) in
+  if asid >= Array.length index then None
   else
-    match t.asid_pgt.(asid) with
+    match index.(asid) with
     | 0 -> None
     | n -> (
         let id = n - 1 in
@@ -203,12 +216,15 @@ let current_pgt t =
         | _ -> None)
 
 (* Rebuild [asid_pgt] from the live zone table — snapshot restore and
-   machine forking overwrite [pgts] wholesale. *)
+   machine forking overwrite [pgts] wholesale. Sized to the largest
+   live ASID, not the ASID space: the work is the live zones'. *)
 let rebuild_asid_index t =
-  Array.fill t.asid_pgt 0 (Array.length t.asid_pgt) 0;
-  Zone_tab.iteri
-    (fun id tbl -> t.asid_pgt.(tbl.Lz_table.asid) <- id + 1)
-    t.pgts
+  let top =
+    Zone_tab.fold (fun _ tbl top -> max top tbl.Lz_table.asid) t.pgts (-1)
+  in
+  let index = Array.make (top + 1) 0 in
+  Zone_tab.iteri (fun id tbl -> index.(tbl.Lz_table.asid) <- id + 1) t.pgts;
+  t.asid_pgt := index
 
 let unmap_everywhere t ~va =
   let sh = shadow_of t in
@@ -289,7 +305,7 @@ let enter ?(backend = Host) ?(asid_bits = 14) ~allow_scalable ~san_mode
       gatetab_pa = 0; ttbrtab_pa = 0;
       pgts = Zone_tab.create ();
       asids;
-      asid_pgt = Array.make (1 lsl asid_bits) 0;
+      asid_pgt = ref (Array.make (1 lsl asid_bits) 0);
       shadow =
         ref
           { prot = Hashtbl.create 64; mapped_in = Hashtbl.create 256;
@@ -344,7 +360,7 @@ let lz_free t id =
       Zone_tab.remove t.pgts id;
       Gate.set_ttbr t.machine.Machine.phys ~ttbrtab_pa:t.ttbrtab_pa ~pgt:id
         ~ttbr:0;
-      t.asid_pgt.(tbl.Lz_table.asid) <- 0;
+      !(t.asid_pgt).(tbl.Lz_table.asid) <- 0;
       Asid_alloc.free t.asids tbl.Lz_table.asid;
       Lz_table.destroy tbl
 

@@ -46,9 +46,12 @@ type t = {
   ttbrtab_pa : int;
   pgts : Lz_table.t Zone_tab.t;
   asids : Asid_alloc.t;
-  asid_pgt : int array;
+  asid_pgt : int array ref;
       (** asid -> pgt id + 1 (0 = none): O(1) TTBR0-to-zone
-          resolution on the fault path. *)
+          resolution on the fault path. Covers at least every live
+          ASID: {!enter} sizes it to the ASID space, {!rebuild_asid_index}
+          to the largest live ASID, and a registration past its end
+          grows it. *)
   shadow : shadow_state ref;
   mutable terminated : string option;
   mutable traps : int;
@@ -174,8 +177,9 @@ val install_shadow : shadow_state -> shadow_state ref
     forking, where the fork's record gets its own [shadow] cell. *)
 
 val rebuild_asid_index : t -> unit
-(** Recompute [asid_pgt] from [pgts] — call after snapshot restore or
-    forking replaces the zone table wholesale. *)
+(** Recompute [asid_pgt] from [pgts], sized to the largest live ASID
+    + 1 — call after snapshot restore or forking replaces the zone
+    table wholesale. *)
 
 val install_sync_hooks : t -> unit
 (** (Re)bind [proc.on_unmap]/[on_protect] to this module handle.

@@ -68,16 +68,25 @@ let classify mode w =
   else if Encoding.is_system_space w then classify_system mode w
   else Allowed
 
+(* Most words of a code page are in none of the three classes
+   [classify] can reject (ERET, LDTR/STTR, the system space), so the
+   scan tests their masks inline and calls [classify] only for the
+   rest: same verdicts, half the cost per page. *)
 let scan_page mode phys ~pa =
   let rec scan i =
     if i >= 1024 then Ok ()
     else
       let w = Lz_mem.Phys.read32 phys (pa + (4 * i)) in
-      match classify mode w with
-      | Allowed -> scan (i + 1)
-      | Gate_only ->
-          Error (4 * i, w, "TTBR0_EL1 access outside the call gate")
-      | Forbidden why -> Error (4 * i, w, why)
+      if
+        (not (is_eret w)) && (not (is_unpriv_ls w))
+        && w land 0xFFC00000 <> 0xD5000000
+      then scan (i + 1)
+      else
+        match classify mode w with
+        | Allowed -> scan (i + 1)
+        | Gate_only ->
+            Error (4 * i, w, "TTBR0_EL1 access outside the call gate")
+        | Forbidden why -> Error (4 * i, w, why)
   in
   scan 0
 

@@ -671,6 +671,23 @@ let cow_clone t =
   map.views <- [ v ];
   v
 
+(* The inverse of [cow_clone]: every slot the view maps goes back to
+   the store, so a finished fork leaves the store as it found it.
+   Frames become holes; the generation bump keeps decodes cached from
+   the dropped contents from revalidating, should the view be used
+   again. *)
+let drop_view t =
+  let slots = t.map.slot_of in
+  Array.iteri
+    (fun n s ->
+      if s >= 0 then begin
+        decref t.store s;
+        slots.(n) <- -1;
+        bump_gen t n
+      end)
+    slots;
+  invalidate_all_memos t
+
 (* ------------------------------------------------------------------ *)
 (* Accounting *)
 

@@ -127,6 +127,13 @@ val cow_clone : t -> t
     Allocator state and generation counters are copied, so the clone
     allocates and invalidates independently. *)
 
+val drop_view : t -> unit
+(** The inverse of {!cow_clone}: give back the view's reference to
+    every slot it maps and leave every frame a hole, invalidating the
+    memo of every alias. Slots no other view or snapshot holds return
+    to the store; snapshots of the view keep their own pins. Call
+    once the view (a finished fork) will not run again. *)
+
 (** {1 Accounting} *)
 
 type stats = {

@@ -344,7 +344,7 @@ let fork (z : Kmod.t) s =
       ttbr1;
       pgts;
       asids;
-      asid_pgt = Array.make (Array.length z.Kmod.asid_pgt) 0;
+      asid_pgt = ref [||];
       shadow = Kmod.install_shadow s.z_shadow;
       terminated = s.z_terminated;
       traps = s.z_traps;
@@ -359,14 +359,17 @@ let fork (z : Kmod.t) s =
   Kmod.install_sync_hooks z2;
   z2
 
-(* Retire a fork: flush its VM's TLB context and return the VMID to
-   the fork pool. A fork owns a private machine (its own TLB), so the
-   flush is belt-and-braces; the pooled VMID is what a 4096-fork
+(* Retire a fork: flush its VM's TLB context, give its memory view's
+   slots back to the shared store and return the VMID to the fork
+   pool. A fork owns a private machine (its own TLB), so the flush is
+   belt-and-braces; the dropped view is what keeps the store at the
+   image plus the live forks, and the pooled VMID is what a 4096-fork
    connection-churn fleet needs — without it the 16-bit VMID space
    marches to exhaustion. Only call on handles [fork] returned, and
    only once, after the fork is done running. *)
 let retire_fork (z : Kmod.t) =
   Tlb.flush_vmid z.Kmod.machine.Machine.tlb z.Kmod.vmid;
+  Phys.drop_view z.Kmod.machine.Machine.phys;
   Api.release_vmid z.Kmod.vmid
 
 (* ------------------------------------------------------------------ *)

@@ -92,11 +92,13 @@ val fork : Lightzone.Kmod.t -> t -> Lightzone.Kmod.t
     the release pool when available, else fresh from the counter. *)
 
 val retire_fork : Lightzone.Kmod.t -> unit
-(** Return a finished fork's VMID to the pool (flushing its TLB
-    context first). Call once, on handles {!fork} returned, after
-    also {!release}-ing any snapshots taken of the fork — this is
-    what keeps a fork-per-connection fleet from exhausting the VMID
-    space. *)
+(** Give a finished fork's memory back ({!Lz_mem.Phys.drop_view}:
+    every slot only the fork held returns to the shared store) and
+    its VMID to the pool (flushing its TLB context first). Call once,
+    on handles {!fork} returned, after also {!release}-ing any
+    snapshots taken of the fork — this is what keeps a
+    fork-per-connection fleet from growing the store or exhausting
+    the VMID space. The fork must not run again. *)
 
 (** {1 Periodic snapshots and deterministic replay} *)
 

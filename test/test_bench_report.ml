@@ -106,6 +106,15 @@ let check_run_keeps_baseline () =
     "check report beside it" "BENCH_t.check.json" (file ~check:true run);
   bool "check report holds the run" true (read (file ~check:true run) = run)
 
+(* A report recorded on uncommitted changes names its revision as
+   dirty; a clean tree, or no git, leaves the revision plain. *)
+let stamp () =
+  let rev = "69a77a6ff42eb433680987af7d5d2a866dbcbbdb" in
+  Alcotest.(check string) "dirty" (rev ^ "+dirty")
+    (rev_stamp rev ~dirty:(Some true));
+  Alcotest.(check string) "clean" rev (rev_stamp rev ~dirty:(Some false));
+  Alcotest.(check string) "no git" "unknown" (rev_stamp "unknown" ~dirty:None)
+
 let () =
   Alcotest.run "bench report"
     [ ( "committed",
@@ -119,4 +128,5 @@ let () =
           Alcotest.test_case "mode skips" `Quick mode;
           Alcotest.test_case "missing row skips" `Quick missing;
           Alcotest.test_case "check run keeps its baseline" `Quick
-            check_run_keeps_baseline ] ) ]
+            check_run_keeps_baseline ] );
+      ("stamp", [ Alcotest.test_case "dirty tree" `Quick stamp ]) ]

@@ -159,14 +159,68 @@ let test_smp_core_state () =
       ("SP_EL1", fun c -> c.Lz_cpu.Core.sp_el1 <- c.Lz_cpu.Core.sp_el1 + 16);
       ("PSTATE", fun c -> c.Lz_cpu.Core.pstate.Lz_arm.Pstate.z <- true) ]
 
+(* One case of every kind, as a hostbench fuzz round draws them. *)
+let round_of seed =
+  let rng = Random.State.make [| seed |] in
+  Array.map
+    (fun kind ->
+      let c = Fuzz_case.generate ~domains rng in
+      { c with Fuzz_case.kind; budget = Fuzz_case.budget_for kind;
+        gate = c.Fuzz_case.gate mod domains })
+    Fuzz_case.all_kinds
+
+let run_round env round =
+  Array.to_list
+    (Array.map (fun c -> (Oracle.run_case env c).Oracle.runs) round)
+
+(* What the engines are compared on, per run. *)
+let observed (r : Oracle.run) =
+  (r.Oracle.engine, r.Oracle.outcome, r.Oracle.digest, r.Oracle.cycles,
+   r.Oracle.insns, r.Oracle.ev_json)
+
+(* A case leaves nothing behind that a later case could see: the same
+   round, run twice on one env that has run other cases, gives the
+   runs a fresh env gives, smp-race included. Forks reuse the slots
+   earlier forks gave back, smp-race machines the blank store's. *)
+let test_rounds_independent () =
+  let env = Lazy.force env in
+  ignore (run_round env (round_of 11));
+  let round = round_of 12 in
+  let first = run_round env round in
+  let second = run_round env round in
+  let fresh = run_round (Oracle.create ~domains cm) round in
+  let same a b =
+    List.map (List.map observed) a = List.map (List.map observed) b
+  in
+  check_bool "second run of the round equals the first" true
+    (same first second);
+  check_bool "a used env equals a fresh one" true (same first fresh)
+
+(* Retired forks and smp-race machines give their memory back: after
+   50 rounds the image's store holds what it held after the first, and
+   the blank store nothing. *)
+let test_store_stays_flat () =
+  let env = Oracle.create ~domains cm in
+  let slots p = (Lz_mem.Phys.stats p).Lz_mem.Phys.store_slots in
+  let image_slots () =
+    slots env.Oracle.z.Lightzone.Kmod.machine.Lz_kernel.Machine.phys
+  in
+  ignore (run_round env (round_of 100));
+  let after_first = image_slots () in
+  for i = 2 to 50 do
+    ignore (run_round env (round_of (100 + i)))
+  done;
+  check_int "image store slots after 50 rounds" after_first (image_slots ());
+  check_int "blank store slots" 0 (slots (Lazy.force env.Oracle.blank))
+
 (* The oracle's digest against a memo-free reference: the same header,
    then the MD5 of each domain page as a user read returns it. On a
    fork of the warm image, random byte stores into the domain pages
    must keep the two equal, and move the digest exactly when a stored
-   byte differs from the one it replaces. The env rebuilds its image
-   every second case, and each test case runs one, so half the forks
-   come from a rebuilt image whose page digests were re-memoised. *)
-let rebuild_env = lazy (Oracle.create ~recycle_every:2 ~domains cm)
+   byte differs from the one it replaces. Each test case first runs an
+   oracle case, whose retired fork gives its slots back, so the fork
+   under test writes into slots an earlier fork's pages held while the
+   page memo lives on. *)
 
 let reference_digest (f : Lightzone.Kmod.t) =
   let b = Buffer.create 4096 in
@@ -187,7 +241,7 @@ let prop_digest_matches_reference =
         (triple (int_range 0 (domains - 1)) (int_range 0 4095)
            (int_range 0 255)))
     (fun stores ->
-      let env = Lazy.force rebuild_env in
+      let env = Lazy.force env in
       let nop =
         { Fuzz_case.kind = Fuzz_case.Stream; words = [||]; gate = 0;
           param = 0; slice = 100; budget = 100 }
@@ -232,4 +286,9 @@ let () =
           Alcotest.test_case "smp-race digest covers SPs and PSTATE" `Quick
             test_smp_core_state ] );
       ( "digest",
-        [ QCheck_alcotest.to_alcotest prop_digest_matches_reference ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_digest_matches_reference ] );
+      ( "reuse",
+        [ Alcotest.test_case "rounds are independent of the env's past"
+            `Quick test_rounds_independent;
+          Alcotest.test_case "stores stay flat over 50 rounds" `Quick
+            test_store_stays_flat ] ) ]

@@ -782,6 +782,99 @@ let prop_fake_phys_restore =
           agrees ())
         ops)
 
+(* The ASID index of a fork is sized to the image's largest live ASID
+   and grows as zones register past it; every restore sizes it again.
+   Through random zone churn from a fork of a four-zone image, with
+   captures and restores to earlier points: after each step every
+   live zone's TTBR0 must resolve (a prefault in it maps the page),
+   while a just-freed zone's TTBR0 and an ASID past the index's end
+   must be refused. *)
+type zone_step = Z_alloc | Z_free of int | Z_capture | Z_restore of int
+
+let asid_image =
+  lazy
+    (let _, kernel, proc = fresh () in
+     let t = enter kernel proc in
+     for _ = 1 to 3 do
+       ignore (Api.lz_alloc t)
+     done;
+     (t, Lz_snap.Snapshot.capture t))
+
+let not_a_zone = "TTBR0 does not name a LightZone page table"
+
+let prop_asid_index =
+  let module Snapshot = Lz_snap.Snapshot in
+  let step =
+    QCheck2.Gen.(
+      frequency
+        [ (4, return Z_alloc);
+          (2, map (fun i -> Z_free i) nat);
+          (1, return Z_capture);
+          (1, map (fun i -> Z_restore i) nat) ])
+  in
+  QCheck2.Test.make ~name:"fork's ASID index resolves exactly the live zones"
+    ~count:40
+    QCheck2.Gen.(list_size (int_range 1 40) step)
+    (fun steps ->
+      let z, image = Lazy.force asid_image in
+      let f = Snapshot.fork z image in
+      let snaps = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (Snapshot.release f) !snaps;
+          Snapshot.retire_fork f)
+      @@ fun () ->
+      let live () =
+        Zone_tab.fold (fun id _ acc -> id :: acc) f.Kmod.pgts []
+      in
+      let resolves id =
+        Kmod.set_current_pgt f id;
+        Kmod.prefault f ~va:data_va ~access:Lz_mem.Mmu.Read;
+        f.Kmod.terminated = None
+        && Lz_table.mapped (Zone_tab.get f.Kmod.pgts id) ~va:data_va
+      in
+      (* On a scratch timeline, so the termination is undone. *)
+      let refused ttbr =
+        let now = Snapshot.capture f in
+        Sysreg.write f.Kmod.core.Lz_cpu.Core.sys Sysreg.TTBR0_EL1 ttbr;
+        Kmod.prefault f ~va:data_va ~access:Lz_mem.Mmu.Read;
+        let r = f.Kmod.terminated = Some not_a_zone in
+        ignore (Snapshot.restore f now);
+        Snapshot.release f now;
+        r
+      in
+      let past_end () =
+        let root = (Zone_tab.get f.Kmod.pgts 0).Lz_table.root_fake in
+        let asid = Array.length !(f.Kmod.asid_pgt) in
+        refused (Lz_mem.Mmu.ttbr_value ~root ~asid)
+      in
+      let pick l i = List.nth l (i mod List.length l) in
+      List.for_all resolves (live ())
+      && past_end ()
+      && List.for_all
+           (fun st ->
+             let step_ok =
+               match st with
+               | Z_alloc -> resolves (Api.lz_alloc f)
+               | Z_free i -> (
+                   match List.filter (fun id -> id <> 0) (live ()) with
+                   | [] -> true
+                   | ids ->
+                       let id = pick ids i in
+                       let ttbr = Kmod.pgt_ttbr f id in
+                       Api.lz_free f id;
+                       refused ttbr)
+               | Z_capture ->
+                   snaps := Snapshot.capture f :: !snaps;
+                   true
+               | Z_restore i ->
+                   if !snaps <> [] then
+                     ignore (Snapshot.restore f (pick !snaps i));
+                   true
+             in
+             step_ok && List.for_all resolves (live ()) && past_end ())
+           steps)
+
 let () =
   Alcotest.run "lightzone"
     [ ( "sanitizer",
@@ -839,4 +932,5 @@ let () =
           Alcotest.test_case "rollover preserves live zones" `Quick
             test_asid_rollover_preserves_live;
           Alcotest.test_case "pgt id recycling isolates" `Quick
-            test_pgt_id_recycling_isolates ] ) ]
+            test_pgt_id_recycling_isolates;
+          QCheck_alcotest.to_alcotest prop_asid_index ] ) ]

@@ -596,6 +596,131 @@ let prop_restore_refcounts =
       let st = Phys.stats p in
       ok && st.Phys.shared = 0 && st.Phys.store_slots = st.Phys.resident)
 
+(* QCheck: [drop_view] is the inverse of [cow_clone]. Random clones,
+   writes, snapshots, restores, releases and drops over a family of
+   views keep every live view's contents equal to its model; once
+   every clone is dropped and every snapshot (of live or dropped
+   views) released, the original owns all that is left: nothing
+   shared, one live slot per resident frame. *)
+type view = {
+  mem : Phys.t;
+  model : int array;
+  mutable snaps : (Phys.snapshot * int array) list;
+}
+
+type view_op =
+  | Clone of int
+  | V_write of int * int * int
+  | V_snap of int
+  | V_restore of int * int
+  | V_release of int * int
+  | Drop of int
+
+let prop_drop_view_conserves =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (2, map (fun i -> Clone i) nat);
+          ( 6,
+            map3
+              (fun i k v -> V_write (i, k, v))
+              nat (int_range 0 7) (int_range 1 255) );
+          (2, map (fun i -> V_snap i) nat);
+          (2, map2 (fun i j -> V_restore (i, j)) nat nat);
+          (1, map2 (fun i j -> V_release (i, j)) nat nat);
+          (2, map (fun i -> Drop i) nat) ])
+  in
+  QCheck2.Test.make ~name:"drop_view gives back what cow_clone took"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+      let p = Phys.create () in
+      let frames = Array.init 8 (fun _ -> Phys.alloc_frame p) in
+      let original = { mem = p; model = Array.make 8 0; snaps = [] } in
+      let views = ref [ original ] and dropped = ref [] in
+      let pick l i = List.nth l (i mod List.length l) in
+      let contents_ok v =
+        Array.for_all2
+          (fun pa x -> Phys.read64 v.mem (pa + 8) = x)
+          frames v.model
+      in
+      let ok =
+        List.for_all
+          (fun o ->
+            (match o with
+            | Clone i ->
+                let v = pick !views i in
+                views :=
+                  !views
+                  @ [ { mem = Phys.cow_clone v.mem;
+                        model = Array.copy v.model; snaps = [] } ]
+            | V_write (i, k, x) ->
+                let v = pick !views i in
+                Phys.write64 v.mem (frames.(k) + 8) x;
+                v.model.(k) <- x
+            | V_snap i ->
+                let v = pick !views i in
+                v.snaps <- (Phys.snapshot v.mem, Array.copy v.model) :: v.snaps
+            | V_restore (i, j) -> (
+                let v = pick !views i in
+                match v.snaps with
+                | [] -> ()
+                | l ->
+                    let s, c = pick l j in
+                    ignore (Phys.restore v.mem s);
+                    Array.blit c 0 v.model 0 8)
+            | V_release (i, j) -> (
+                let v = pick !views i in
+                match v.snaps with
+                | [] -> ()
+                | l ->
+                    let ((s, _) as e) = pick l j in
+                    Phys.release v.mem s;
+                    v.snaps <- List.filter (fun x -> x != e) v.snaps)
+            | Drop i -> (
+                match List.tl !views with
+                | [] -> ()
+                | clones ->
+                    let v = pick clones i in
+                    Phys.drop_view v.mem;
+                    views := List.filter (fun x -> x != v) !views;
+                    dropped := v :: !dropped));
+            List.for_all contents_ok !views)
+          ops
+      in
+      List.iter
+        (fun v -> List.iter (fun (s, _) -> Phys.release v.mem s) v.snaps)
+        (!views @ !dropped);
+      List.iter (fun v -> Phys.drop_view v.mem) (List.tl !views);
+      let st = Phys.stats p in
+      ok && st.Phys.shared = 0 && st.Phys.store_slots = st.Phys.resident)
+
+(* A store serving one fork at a time stays the size of one fork: 200
+   cycles of clone, write into shared and fresh frames, drop end each
+   at the live-slot count the first cycle ended at. *)
+let test_drop_view_bounds_store () =
+  let p = Phys.create () in
+  let frames = Array.init 16 (fun _ -> Phys.alloc_frame p) in
+  Array.iteri (fun i pa -> Phys.write64 p pa (i + 1)) frames;
+  let image = Phys.snapshot p in
+  let after_first = ref 0 in
+  for cycle = 1 to 200 do
+    let v = Phys.cow_clone p in
+    for i = 0 to cycle mod 16 do
+      Phys.write64 v (frames.(i) + 8) cycle
+    done;
+    Phys.write64 v (Phys.alloc_frame v) cycle;
+    Phys.drop_view v;
+    let slots = (Phys.stats p).Phys.store_slots in
+    if cycle = 1 then after_first := slots
+    else
+      check_int (Printf.sprintf "slots after cycle %d" cycle) !after_first slots
+  done;
+  check_int "image contents untouched" 16 (Phys.read64 p frames.(15));
+  Phys.release p image;
+  check_int "only the original's slots remain" 16
+    (Phys.stats p).Phys.store_slots
+
 let () =
   Alcotest.run "lz_mem"
     [ ( "phys",
@@ -603,7 +728,10 @@ let () =
           Alcotest.test_case "cross page" `Quick test_phys_cross_page;
           Alcotest.test_case "alloc/free" `Quick test_phys_alloc;
           Alcotest.test_case "contiguous" `Quick test_phys_contiguous;
-          QCheck_alcotest.to_alcotest prop_restore_refcounts ] );
+          QCheck_alcotest.to_alcotest prop_restore_refcounts;
+          QCheck_alcotest.to_alcotest prop_drop_view_conserves;
+          Alcotest.test_case "drop_view bounds the store" `Quick
+            test_drop_view_bounds_store ] );
       ( "pte",
         [ Alcotest.test_case "stage1 bits" `Quick test_pte_s1;
           Alcotest.test_case "attr rewrite" `Quick test_pte_attr_rewrite;
