@@ -30,10 +30,10 @@ bench-smoke:
 	dune build @bench-smoke
 	dune exec bench/throughput.exe -- --check
 
-# Engine differential over the CLI: traps, pentest, switch and three
-# trace exports (host, guest, guest with the trap fast paths) run under
-# LZ_ENGINE=slow, per-insn and blocks, and every output must be
-# byte-identical to the slow engine's; an unknown LZ_ENGINE must fail.
+# Engine differential over the CLI: traps, pentest, switch and two
+# trace exports (host and guest) run under LZ_ENGINE=slow, per-insn and
+# blocks, and every output must be byte-identical to the slow engine's;
+# an unknown LZ_ENGINE must fail.
 # Outputs land in _build/engine-diff/<engine>/.
 engine-diff: build
 	@set -e; lz=$(CURDIR)/_build/default/bin/lzctl.exe; \
@@ -45,8 +45,6 @@ engine-diff: build
 	  $$lz switch > switch.txt; \
 	  $$lz trace export -o host.jsonl > host.txt; \
 	  $$lz trace export -e guest -o guest.jsonl > guest.txt; \
-	  $$lz trace export -e guest --fast -o guest-fast.jsonl \
-	    > guest-fast.txt; \
 	done; \
 	for e in per-insn blocks; do \
 	  diff -rq $$out/slow $$out/$$e || \

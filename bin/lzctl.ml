@@ -111,23 +111,15 @@ let trace_cmd =
     Arg.(value & opt string "trace.jsonl"
          & info [ "out"; "o" ] ~doc:"JSONL output file (export)")
   in
-  let fast =
-    Arg.(value & flag
-         & info [ "fast" ]
-             ~doc:"enable the trap fast paths (Lowvisor steady-state \
-                   forwarding, fault-around, spurious-fault \
-                   revalidation) for before/after comparison")
-  in
   let action =
     Arg.(value & pos 0 (enum [ ("summary", `Summary);
                                ("top-spans", `Top_spans);
                                ("export", `Export) ]) `Summary
          & info [] ~docv:"ACTION" ~doc:"summary, top-spans or export")
   in
-  let run cm env action domains iterations top out fast =
+  let run cm env action domains iterations top out =
     let r =
-      Lz_eval.Switch_bench.traced_run ~fast_paths:fast cm ~env ~domains
-        ~n:iterations
+      Lz_eval.Switch_bench.traced_run cm ~env ~domains ~n:iterations
     in
     match action with
     | `Summary ->
@@ -154,7 +146,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"trace an instrumented domain-switch run (cycle attribution)")
     Term.(const run $ platform $ env $ action $ domains $ iterations $ top
-          $ out $ fast)
+          $ out)
 
 let profile_cmd =
   let run cm env =

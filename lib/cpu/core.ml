@@ -580,31 +580,6 @@ let quiesce_irq t intid =
             Pmu.write_ovsclr p ~cycles:t.cycles ~insns:t.insns (-1)
         | _ -> ()
 
-(* Emulate a guest taking an IRQ at its own EL1 vector while the core
-   is parked at EL2 (virtual-interrupt injection, as with HCR_EL2.VI).
-   The interrupted guest context captured in ELR_EL2/SPSR_EL2 is
-   re-banked into ELR_EL1/SPSR_EL1 and the EL2 return is redirected to
-   the guest's IRQ vector with interrupts masked, so the hypervisor's
-   next ERET lands in the guest handler exactly as hardware injection
-   would. Call only while stopped at a [Trap_el2] boundary. *)
-let inject_irq_to_el1 t ~intid =
-  let spsr = Sysreg.read t.sys Sysreg.SPSR_EL2 in
-  Sysreg.write t.sys Sysreg.SPSR_EL1 spsr;
-  Sysreg.write t.sys Sysreg.ELR_EL1 (Sysreg.read t.sys Sysreg.ELR_EL2);
-  let from_el = (spsr lsr 2) land 0x3 in
-  (match t.tracer with
-  | Some tr ->
-      Lz_trace.Trace.emit tr ~cycles:t.cycles
-        (Lz_trace.Trace.Irq_enter { intid; from_el; to_el = 1 })
-  | None -> ());
-  let handler = Pstate.make Pstate.EL1 in
-  handler.Pstate.daif <- 0xF;
-  Sysreg.write t.sys Sysreg.SPSR_EL2 (Pstate.to_spsr handler);
-  Sysreg.write t.sys Sysreg.ELR_EL2
-    (Sysreg.read t.sys Sysreg.VBAR_EL1
-    + if from_el = 0 then 0x480 else 0x280);
-  charge t t.cost.exc_entry_el1
-
 (* Exception routing: decides who handles an exception, performs the
    architectural entry, and reports whether the harness takes over. *)
 let deliver t cls ~ret =

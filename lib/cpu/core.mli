@@ -152,9 +152,6 @@ val sp : t -> int
 
 val set_sp : t -> int -> unit
 
-val mmu_ctx : t -> unpriv:bool -> Lz_mem.Mmu.ctx
-(** Translation context from current architectural state. *)
-
 val read_mem :
   t -> ?unpriv:bool -> width:int -> int -> (int, Lz_mem.Mmu.fault) result
 (** Simulated data read at the current privilege (charges cycles). *)
@@ -170,11 +167,6 @@ val run : ?max_insns:int -> t -> stop
 (** Run until an OCaml-handled trap or the instruction budget
     (default 10,000,000) runs out. *)
 
-val take_exception_to_el2 : t -> exception_class -> unit
-(** Perform the architectural part of exception entry to EL2 (ELR,
-    SPSR, ESR, PSTATE) and charge its cost. Exposed so OCaml EL2
-    handlers see faithful banked state; called internally by {!step}. *)
-
 val eret_from_el2 : t -> unit
 (** Return from an OCaml EL2 handler to the state saved in
     ELR_EL2/SPSR_EL2 (charges the ERET cost). *)
@@ -182,10 +174,6 @@ val eret_from_el2 : t -> unit
 val eret_from_el1 : t -> unit
 (** Return to the state saved in ELR_EL1/SPSR_EL1 — used by the OCaml
     guest-kernel model after a [Trap_el1]. *)
-
-val esr_of_class : exception_class -> int
-(** Encode an exception class into an ESR-like syndrome word (EC in
-    bits 31..26, ISS below), as the vector stubs and handlers see. *)
 
 (** {1 Observability}
 
@@ -232,14 +220,6 @@ val quiesce_irq : t -> int -> unit
     still asserted (stop the timer, clear PMU overflow) — the
     fallback for OCaml-modelled handlers that did not reprogram the
     source themselves, preventing level-triggered re-delivery loops. *)
-
-val inject_irq_to_el1 : t -> intid:int -> unit
-(** Virtual-interrupt injection (HCR_EL2.VI style): while the core is
-    stopped at a [Trap_el2] boundary, re-bank the interrupted guest
-    context from ELR_EL2/SPSR_EL2 into ELR_EL1/SPSR_EL1 and redirect
-    the pending EL2 return to the guest's IRQ vector with interrupts
-    masked, so the hypervisor's next {!eret_from_el2} enters the guest
-    handler exactly as a hardware-injected IRQ would. *)
 
 val pp_stop : Format.formatter -> stop -> unit
 

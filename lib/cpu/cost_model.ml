@@ -32,8 +32,6 @@ type t = {
   nested_extra : int;
   nested_repoint : int;
   lwc_switch_extra : int;
-  fault_around_page : int;
-  shallow_exit : int;
   gic_ack : int;
   gic_eoi : int;
 }
@@ -71,8 +69,6 @@ let carmel =
     nested_extra = 150;
     nested_repoint = 3500;
     lwc_switch_extra = 9000;
-    fault_around_page = 220;
-    shallow_exit = 600;
     gic_ack = 110;
     gic_eoi = 90 }
 
@@ -107,8 +103,6 @@ let cortex_a55 =
     nested_extra = 420;
     nested_repoint = 350;
     lwc_switch_extra = 1500;
-    fault_around_page = 40;
-    shallow_exit = 90;
     gic_ack = 9;
     gic_eoi = 7 }
 

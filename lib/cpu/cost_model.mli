@@ -55,12 +55,6 @@ type t = {
   lwc_switch_extra : int; (** lwC context-switch work beyond the bare
                               syscall (address-space + credential
                               switch in the lwSwitch path). *)
-  fault_around_page : int; (** installing one extra page during
-                               fault-around: PTE write + bookkeeping,
-                               without a separate trap roundtrip. *)
-  shallow_exit : int;     (** hypervisor shallow hypercall return:
-                              exit bookkeeping without the vcpu
-                              put/load world switch. *)
   gic_ack : int;          (** ICC_IAR1_EL1 read (interrupt
                               acknowledge at the GIC CPU interface). *)
   gic_eoi : int;          (** ICC_EOIR1_EL1 write (end of

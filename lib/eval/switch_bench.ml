@@ -109,9 +109,7 @@ let setup_proc kernel ~domains ~n =
   let proc = Kernel.create_process kernel in
   ignore (Kernel.map_anon kernel proc ~at:(stack_va - 0x10000) ~len:0x10000
             Vma.rw);
-  (* Size the index array exactly (Vma.make rounds up to the page):
-     a slack tail page would never be read, but fault-around would
-     still install it. *)
+  (* Size the index array exactly (Vma.make rounds up to the page). *)
   ignore (Kernel.map_anon kernel proc ~at:arr_va ~len:(max 8 (8 * n))
             Vma.rw);
   ignore (Kernel.map_anon kernel proc ~at:domains_va
@@ -130,8 +128,7 @@ type lz_run = {
   preemptions : int;
 }
 
-let run_lz_full ?tracer ?(fast_paths = false) ?preempt ?(pmu = false) cm
-    ~env ~mech ~domains ~n =
+let run_lz_full ?tracer ?preempt ?(pmu = false) cm ~env ~mech ~domains ~n =
   let machine = Machine.create ~cost:cm () in
   let kernel, backend =
     match env with
@@ -140,17 +137,8 @@ let run_lz_full ?tracer ?(fast_paths = false) ?preempt ?(pmu = false) cm
         let hyp = Lz_hyp.Hypervisor.create machine in
         let vm = Lz_hyp.Hypervisor.create_vm hyp in
         let gk = Lz_hyp.Hypervisor.make_guest_kernel hyp vm in
-        let lv = Lowvisor.create hyp vm in
-        if fast_paths then begin
-          Lowvisor.set_fast lv true;
-          hyp.Lz_hyp.Hypervisor.fast_hvc <- true
-        end;
-        (gk, Kmod.Guest lv)
+        (gk, Kmod.Guest (Lowvisor.create hyp vm))
   in
-  if fast_paths then begin
-    kernel.Kernel.fault_around <- 8;
-    kernel.Kernel.spurious_fast <- true
-  end;
   let proc = setup_proc kernel ~domains ~n in
   let scalable = mech = Mech Lz_ttbr in
   let t =
@@ -211,8 +199,8 @@ let run_lz_full ?tracer ?(fast_paths = false) ?preempt ?(pmu = false) cm
         preemptions = !preemptions }
   | o -> failwith (Format.asprintf "switch bench (lz): %a" Kmod.pp_outcome o)
 
-let run_lz ?tracer ?fast_paths ?preempt cm ~env ~mech ~domains ~n =
-  (run_lz_full ?tracer ?fast_paths ?preempt cm ~env ~mech ~domains ~n).cycles
+let run_lz cm ~env ~mech ~domains ~n =
+  (run_lz_full cm ~env ~mech ~domains ~n).cycles
 
 (* The registers and zone bookkeeping [zone_digest] starts with. *)
 let add_zone_header b (t : Kmod.t) =
@@ -289,10 +277,8 @@ let rewind_slice (t : Kmod.t) =
   t.Kmod.proc.Proc.exit_code <- None;
   t.Kmod.core.Core.pc <- code_va
 
-let prepare ?fast_paths ?preempt cm ~env ~domains ~n =
-  let r =
-    run_lz_full ?fast_paths ?preempt cm ~env ~mech:(Mech Lz_ttbr) ~domains ~n
-  in
+let prepare ?preempt cm ~env ~domains ~n =
+  let r = run_lz_full ?preempt cm ~env ~mech:(Mech Lz_ttbr) ~domains ~n in
   rewind_slice r.t;
   r
 
@@ -314,11 +300,10 @@ type traced = {
   digest : string;
 }
 
-let traced_run ?capacity ?fast_paths ?preempt cm ~env ~domains ~n =
+let traced_run ?capacity ?preempt cm ~env ~domains ~n =
   let tr = Lz_trace.Trace.create ?capacity () in
   let r =
-    run_lz_full ~tracer:tr ?fast_paths ?preempt cm ~env
-      ~mech:(Mech Lz_ttbr) ~domains ~n
+    run_lz_full ~tracer:tr ?preempt cm ~env ~mech:(Mech Lz_ttbr) ~domains ~n
   in
   let report = Lz_trace.Span.of_trace ~total_cycles:r.cycles tr in
   { trace = tr; report; total_cycles = r.cycles; domains; switches = n;

@@ -27,16 +27,12 @@ type traced = {
 }
 
 val traced_run :
-  ?capacity:int -> ?fast_paths:bool -> ?preempt:int ->
+  ?capacity:int -> ?preempt:int ->
   Lz_cpu.Cost_model.t -> env:env -> domains:int -> n:int -> traced
 (** One instrumented TTBR-mechanism run: [n] random domain switches
     across [domains] gate-attached domains with the tracer attached,
     returning the raw trace and its span report. Backs [lzctl trace]
-    and the bench trace annotation. [fast_paths] (default false)
-    enables the trap fast paths — Lowvisor steady-state forwarding,
-    hypervisor shallow hypercall return, demand-fault clustering and
-    the spurious-fault revalidation — for before/after comparison of
-    the trap.hvc / trap.dabort spans. [preempt] runs the zone under
+    and the bench trace annotation. [preempt] runs the zone under
     the preemptive timer: the generic timer fires PPI 30 every
     [preempt] cycles, each tick stopping the zone at the EL2 module
     boundary (HCR_EL2.IMO) and reprogramming the next deadline.
@@ -59,7 +55,7 @@ type mech_or_base = Mech of mechanism | Base_access
     switch instructions — the loop baseline {!measure} subtracts. *)
 
 val run_lz_full :
-  ?tracer:Lz_trace.Trace.t -> ?fast_paths:bool -> ?preempt:int ->
+  ?tracer:Lz_trace.Trace.t -> ?preempt:int ->
   ?pmu:bool -> Lz_cpu.Cost_model.t -> env:env -> mech:mech_or_base ->
   domains:int -> n:int -> lz_run
 (** One complete Table 5 run under LightZone ([Mech Lz_pan],
@@ -69,7 +65,7 @@ val run_lz_full :
     before the run; the other options are as for {!traced_run}. *)
 
 val prepare :
-  ?fast_paths:bool -> ?preempt:int ->
+  ?preempt:int ->
   Lz_cpu.Cost_model.t -> env:env -> domains:int -> n:int -> lz_run
 (** Build the Table 5 TTBR-mechanism setup ([domains] gate-attached
     domains) and run one [n]-switch slice end-to-end — demand paging

@@ -89,32 +89,28 @@ let lz_to_host_el2 cm =
   in
   slope run 50 150
 
-let lz_to_guest_kernel ?(fast_paths = false) cm =
-  let run ~count_repoint k =
+let lz_to_guest_kernel cm =
+  let run k =
     let _, hyp, vm, gk, proc = fresh_guest cm in
-    let lv = Lowvisor.create hyp vm in
-    if fast_paths then Lowvisor.set_fast lv true;
     let t =
-      Api.lz_enter ~backend:(Kmod.Guest lv) ~allow_scalable:true ~insn_san:1
-        ~entry:code_va ~sp:stack_va gk proc
+      Api.lz_enter ~backend:(Kmod.Guest (Lowvisor.create hyp vm))
+        ~allow_scalable:true ~insn_san:1 ~entry:code_va ~sp:stack_va gk proc
     in
     let b = syscall_loop ~trap:(Insn.Hvc Gate.hvc_syscall) k in
     Api.load_and_register t b ~va:code_va;
     (match Api.run t with
     | Kmod.Exited _ -> ()
     | o -> failwith (Format.asprintf "lz guest bench: %a" Kmod.pp_outcome o));
-    ignore count_repoint;
     t.Kmod.core.Core.cycles
   in
-  let steady = slope (run ~count_repoint:false) 50 150 in
+  let steady = slope run 50 150 in
   (steady, steady + cm.Cost_model.nested_repoint)
 
-let kvm_hypercall ?(fast_paths = false) cm =
+let kvm_hypercall cm =
   let run k =
     let machine = Machine.create ~cost:cm () in
     let hyp = Lz_hyp.Hypervisor.create machine in
     let vm = Lz_hyp.Hypervisor.create_vm hyp in
-    hyp.Lz_hyp.Hypervisor.fast_hvc <- fast_paths;
     (* A bare EL1 "guest kernel" context issuing hypercalls. *)
     let core = Machine.new_core ~route_el1_to_harness:true machine
         Pstate.EL1 in
@@ -147,8 +143,7 @@ let kvm_hypercall ?(fast_paths = false) cm =
     let rec drive () =
       match Core.run core with
       | Core.Trap_el2 (Core.Ec_hvc _) ->
-          if fast_paths then Lz_hyp.Hypervisor.shallow_hypercall hyp vm core
-          else Lz_hyp.Hypervisor.hypercall_roundtrip hyp vm core;
+          Lz_hyp.Hypervisor.hypercall_roundtrip hyp vm core;
           Core.eret_from_el2 core;
           drive ()
       | Core.Trap_el2 ((Core.Ec_dabort f | Core.Ec_iabort f))

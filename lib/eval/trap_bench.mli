@@ -18,15 +18,8 @@ type row = {
 val host_user_to_el2 : Lz_cpu.Cost_model.t -> int
 val guest_user_to_el1 : Lz_cpu.Cost_model.t -> int
 val lz_to_host_el2 : Lz_cpu.Cost_model.t -> int
-val lz_to_guest_kernel : ?fast_paths:bool -> Lz_cpu.Cost_model.t -> int * int
-(** (steady, with pt_regs re-location) — the Table 4 range. With
-    [fast_paths] the Lowvisor's steady-state forwarding fast path is
-    enabled, for before/after comparison (Table 4 itself reports the
-    unoptimized path). *)
-
-val kvm_hypercall : ?fast_paths:bool -> Lz_cpu.Cost_model.t -> int
-(** With [fast_paths], hypercalls take the hypervisor's shallow
-    fast-return instead of the full world switch. *)
+val lz_to_guest_kernel : Lz_cpu.Cost_model.t -> int * int
+(** (steady, with pt_regs re-location) — the Table 4 range. *)
 
 val table : Lz_cpu.Cost_model.t -> row list
 (** The seven Table 4 rows for one platform. *)

@@ -8,13 +8,9 @@ type t = {
   mutable vms : Vm.t list;
   mutable next_vmid : int;
   mutable world_switches : int;
-  mutable fast_hvc : bool;
-  mutable shallow_exits : int;
 }
 
-let create machine =
-  { machine; vms = []; next_vmid = 1; world_switches = 0;
-    fast_hvc = false; shallow_exits = 0 }
+let create machine = { machine; vms = []; next_vmid = 1; world_switches = 0 }
 
 let create_vm t =
   let vm = Vm.create t.machine ~vmid:t.next_vmid in
@@ -98,22 +94,10 @@ let hypercall_roundtrip t vm (core : Core.t) =
   Core.charge core core.Core.cost.Cost_model.dispatch;
   vcpu_load t vm core
 
-(* A hypercall that needs no world-state mutation (no host-side vCPU
-   context, guest HCR/VTTBR stay loaded because control returns
-   straight to the same guest): dispatch in the EL2 vector context and
-   ERET back without the vcpu put/load pair. *)
-let shallow_hypercall t _vm (core : Core.t) =
-  t.shallow_exits <- t.shallow_exits + 1;
-  Core.charge core core.Core.cost.Cost_model.dispatch;
-  Core.charge core core.Core.cost.Cost_model.shallow_exit
-
 (* A physical interrupt forcing a guest exit (HCR_EL2.IMO): the host
-   fields it at the GIC — acknowledge, tick hook, quiesce, EOI — and,
-   when the VM opted in, re-injects it as a virtual interrupt so the
-   guest also observes it at its own EL1 vector on the resuming ERET
-   (HCR_EL2.VI style). OCaml-modelled guest kernels have no simulated
-   vector, so injection is per-VM opt-in ({!Vm.t.inject_virq}). *)
-let handle_guest_irq t (vm : Vm.t) (k : Kernel.t) (core : Core.t) =
+   fields it at the GIC — acknowledge, the guest kernel's tick hook,
+   quiesce-if-still-asserted, EOI. *)
+let handle_guest_irq t (k : Kernel.t) (core : Core.t) =
   match Core.irq core with
   | None -> ()
   | Some iv ->
@@ -124,8 +108,7 @@ let handle_guest_irq t (vm : Vm.t) (k : Kernel.t) (core : Core.t) =
         (match k.Kernel.on_tick with Some f -> f core intid | None -> ());
         Core.quiesce_irq core intid;
         Lz_irq.Irq.eoi iv intid;
-        Core.charge core c.Cost_model.gic_eoi;
-        if vm.Vm.inject_virq then Core.inject_irq_to_el1 core ~intid
+        Core.charge core c.Cost_model.gic_eoi
       end
 
 let run_guest_process ?(max_insns = 50_000_000) t vm (k : Kernel.t)
@@ -161,15 +144,12 @@ let run_guest_process ?(max_insns = 50_000_000) t vm (k : Kernel.t)
                 (Format.asprintf "fatal stage-2 %a" Core.pp_stop
                    (Core.Trap_el2 cls)))
       | Core.Trap_el2 (Core.Ec_irq _) ->
-          handle_guest_irq t vm k core;
+          handle_guest_irq t k core;
           Core.eret_from_el2 core;
           loop ()
       | Core.Trap_el2 (Core.Ec_hvc _) ->
-          (* Conventional guest hypercall: full world switch — unless
-             the shallow fast-return path is enabled and the exit
-             mutates no world state. *)
-          if t.fast_hvc then shallow_hypercall t vm core
-          else hypercall_roundtrip t vm core;
+          (* Conventional guest hypercall: full world switch. *)
+          hypercall_roundtrip t vm core;
           Core.eret_from_el2 core;
           loop ()
       | Core.Trap_el2 cls ->

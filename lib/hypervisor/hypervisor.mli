@@ -12,11 +12,6 @@ type t = {
   mutable vms : Vm.t list;
   mutable next_vmid : int;
   mutable world_switches : int;
-  mutable fast_hvc : bool;
-      (** shallow hypercall fast-return enabled (off by default):
-          hypercalls that mutate no world state skip the vcpu
-          put/load pair in {!run_guest_process}. *)
-  mutable shallow_exits : int;
 }
 
 val create : Lz_kernel.Machine.t -> t
@@ -43,19 +38,6 @@ val hypercall_roundtrip : t -> Vm.t -> Lz_cpu.Core.t -> unit
 (** Service one hypercall exit with a full world switch: vcpu_put,
     host-side dispatch, vcpu_load — the conventional (unoptimized) KVM
     path that LightZone's Section 5.2 optimizations avoid. *)
-
-val shallow_hypercall : t -> Vm.t -> Lz_cpu.Core.t -> unit
-(** Fast-return servicing of a hypercall that mutates no world state:
-    the guest's HCR/VTTBR and EL1 context stay loaded because control
-    returns straight to the same guest, so only the EL2 dispatch and
-    a shallow-exit bookkeeping cost are paid. *)
-
-val handle_guest_irq :
-  t -> Vm.t -> Lz_kernel.Kernel.t -> Lz_cpu.Core.t -> unit
-(** Host-side servicing of a physical IRQ that exited the guest
-    (HCR_EL2.IMO): GIC acknowledge, {!Lz_kernel.Kernel.t.on_tick},
-    quiesce-if-still-asserted, EOI; then virtual-interrupt injection
-    into the guest's EL1 vector when [vm.inject_virq] is set. *)
 
 (** {1 Guest process driving} *)
 

@@ -5,7 +5,6 @@ type t = {
   saved_el1 : Lz_arm.Sysreg.file;
   mutable s2_faults : int;
   mutable pages_mapped : int;
-  mutable inject_virq : bool;
 }
 
 let create machine ~vmid =
@@ -14,7 +13,6 @@ let create machine ~vmid =
     machine;
     saved_el1 = Lz_arm.Sysreg.create_file ();
     s2_faults = 0;
-    pages_mapped = 0;
-    inject_virq = false }
+    pages_mapped = 0 }
 
 let vttbr t = Lz_mem.Mmu.ttbr_value ~root:t.s2_root ~asid:t.vmid

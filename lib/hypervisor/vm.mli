@@ -9,12 +9,6 @@ type t = {
       (** EL1 system-register context while the VM is descheduled. *)
   mutable s2_faults : int;
   mutable pages_mapped : int;
-  mutable inject_virq : bool;
-      (** re-inject host-fielded physical IRQs into the guest as
-          virtual interrupts at its EL1 vector (requires the guest to
-          have installed a real VBAR_EL1 handler; off by default —
-          OCaml-modelled guest kernels observe IRQs through
-          [Kernel.on_tick] instead). *)
 }
 
 val create : Lz_kernel.Machine.t -> vmid:int -> t

@@ -17,8 +17,6 @@ type t = {
   mutable custom_trap :
     (t -> Proc.t -> Core.t -> Core.exception_class -> bool) option;
   mutable syscall_count : int;
-  mutable fault_around : int;
-  mutable spurious_fast : bool;
   mutable on_tick : (Core.t -> int -> unit) option;
 }
 
@@ -45,8 +43,6 @@ let create machine mode =
     alloc_frame = (fun () -> Phys.alloc_frame m.Machine.phys);
     custom_trap = None;
     syscall_count = 0;
-    fault_around = 1;
-    spurious_fast = false;
     on_tick = None }
 
 let create_process t =
@@ -223,38 +219,12 @@ let prot_allows (prot : Vma.prot) (access : Mmu.access) =
   | Mmu.Write -> prot.w
   | Mmu.Exec -> prot.x
 
-(* Fault-around cluster for [vma]: the per-VMA override wins, else the
-   kernel-wide knob; 1 means one-page-at-a-time demand paging. *)
-let fault_around_count t (vma : Vma.t) =
-  match vma.Vma.fault_around with
-  | Some n -> max 1 n
-  | None -> max 1 t.fault_around
-
-(* Install up to [n - 1] further unmapped pages of [vma] after the
-   faulting page, each at the marginal PTE-install cost instead of a
-   full trap roundtrip. *)
-let fault_around_install t (p : Proc.t) (vma : Vma.t) ~charge ~page ~n =
-  let phys = t.machine.Machine.phys in
-  let limit = Vma.end_ vma in
-  let va = ref (page + 4096) in
-  let i = ref 1 in
-  while !i < n && !va < limit do
-    (match Stage1.walk phys ~root:p.root ~va:!va with
-    | Ok _ -> ()
-    | Error _ ->
-        ignore (install_page t p ~va:!va ~prot:vma.Vma.prot);
-        charge t.machine.Machine.cost.Cost_model.fault_around_page);
-    incr i;
-    va := !va + 4096
-  done
-
 let handle_fault ?core t (p : Proc.t) (f : Mmu.fault) =
-  let charge c = match core with Some co -> Core.charge co c | None -> () in
-  let cost = t.machine.Machine.cost in
+  (match core with
+  | Some co -> Core.charge co t.machine.Machine.cost.Cost_model.dispatch
+  | None -> ());
   match f.kind with
-  | Mmu.Permission ->
-      charge cost.Cost_model.dispatch;
-      `Segv
+  | Mmu.Permission -> `Segv
   | Mmu.Translation -> (
       match Proc.find_vma p f.va with
       | Some vma when prot_allows vma.Vma.prot f.access ->
@@ -262,23 +232,10 @@ let handle_fault ?core t (p : Proc.t) (f : Mmu.fault) =
              walk used a secondary table, e.g. an lwC context view)
              must not re-install — that would replace the frame. *)
           (match Stage1.walk t.machine.Machine.phys ~root:p.root ~va:f.va with
-          | Ok _ ->
-              (* With the spurious fast path the handler revalidates
-                 the entry with a single descriptor fetch up front and
-                 returns before the full fault dispatch. *)
-              if t.spurious_fast then charge cost.Cost_model.pte_read
-              else charge cost.Cost_model.dispatch
-          | Error _ ->
-              charge cost.Cost_model.dispatch;
-              ignore (install_page t p ~va:f.va ~prot:vma.Vma.prot);
-              let n = fault_around_count t vma in
-              if n > 1 then
-                fault_around_install t p vma ~charge
-                  ~page:(Bits.align_down f.va 4096) ~n);
+          | Ok _ -> ()
+          | Error _ -> ignore (install_page t p ~va:f.va ~prot:vma.Vma.prot));
           `Handled
-      | Some _ | None ->
-          charge cost.Cost_model.dispatch;
-          `Segv)
+      | Some _ | None -> `Segv)
 
 (* ------------------------------------------------------------------ *)
 (* Syscalls *)
@@ -392,8 +349,8 @@ let service_trap t (p : Proc.t) (core : Core.t) cls ~at =
             do_syscall t p core;
             `Continue
         | Core.Ec_dabort f | Core.Ec_iabort f -> (
-            (* handle_fault charges the fault dispatch (or the cheaper
-               spurious revalidation) against [core]. *)
+            (* handle_fault charges the fault dispatch against
+               [core]. *)
             match handle_fault ~core t p f with
             | `Handled -> `Continue
             | `Segv ->

@@ -34,14 +34,6 @@ type t = {
     option;
       (** returns true when the extension handled the trap. *)
   mutable syscall_count : int;
-  mutable fault_around : int;
-      (** demand-fault cluster size: pages installed per translation
-          fault (1 = classic one-page-at-a-time; default). Per-VMA
-          [Vma.fault_around] overrides this. *)
-  mutable spurious_fast : bool;
-      (** revalidate spurious faults (page already resident) with a
-          single descriptor fetch instead of the full fault dispatch
-          (off by default). *)
   mutable on_tick : (Lz_cpu.Core.t -> int -> unit) option;
       (** IRQ hook, called with the acknowledged INTID between the GIC
           ack and EOI of every interrupt this kernel services — the
@@ -64,10 +56,6 @@ val map_anon : t -> Proc.t -> ?at:int -> len:int -> Vma.prot -> int
 
 val fault_in_page : t -> Proc.t -> va:int -> unit
 (** Populate one page immediately (demand paging short-circuit). *)
-
-val fault_around_count : t -> Vma.t -> int
-(** Effective fault-around cluster for a VMA: its override if set,
-    else the kernel-wide knob; never below 1. *)
 
 val populate : t -> Proc.t -> start:int -> len:int -> unit
 
@@ -95,26 +83,17 @@ val load_program : t -> Proc.t -> va:int -> Lz_arm.Insn.t list -> unit
 val handle_fault :
   ?core:Lz_cpu.Core.t -> t -> Proc.t -> Lz_mem.Mmu.fault ->
   [ `Handled | `Segv ]
-(** Demand-paging fault handler. With [~core] the handler's own cycle
-    costs (fault dispatch, or the cheaper spurious revalidation when
-    {!t.spurious_fast} is on, plus any fault-around installs) are
-    charged to that core; without it no cycles are charged — callers
-    running a core should pass it. Honors {!t.fault_around} /
-    [Vma.fault_around] clustering: a translation fault installs up to
-    the cluster's worth of following unmapped pages in the same VMA at
-    marginal cost instead of taking one trap per page. *)
+(** Demand-paging fault handler: a translation fault inside a VMA
+    that allows the access installs the one faulting page (or nothing,
+    when the page is already resident). With [~core] the fault
+    dispatch cost is charged to that core; without it no cycles are
+    charged — callers running a core should pass it. *)
 
 (** {1 Syscalls} *)
 
 val do_syscall : t -> Proc.t -> Lz_cpu.Core.t -> unit
 (** Dispatch the syscall in x8 with args in x0..x5; result into x0.
     Unknown syscalls return -ENOSYS (-38). *)
-
-val service_irq : t -> Lz_cpu.Core.t -> unit
-(** Service one physical interrupt: GIC acknowledge (cost-charged),
-    {!t.on_tick}, quiesce-if-still-asserted, EOI. Called from
-    {!service_trap} on [Ec_irq]; exposed for run loops that field
-    interrupts themselves. *)
 
 (** {1 Running} *)
 

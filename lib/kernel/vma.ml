@@ -4,7 +4,6 @@ type t = {
   start : int;
   len : int;
   mutable prot : prot;
-  mutable fault_around : int option;
 }
 
 let rw = { r = true; w = true; x = false }
@@ -15,8 +14,7 @@ let rwx = { r = true; w = true; x = true }
 let make ~start ~len prot =
   let aligned_start = Lz_arm.Bits.align_down start 4096 in
   let aligned_end = (start + len + 4095) / 4096 * 4096 in
-  { start = aligned_start; len = aligned_end - aligned_start; prot;
-    fault_around = None }
+  { start = aligned_start; len = aligned_end - aligned_start; prot }
 
 let end_ t = t.start + t.len
 

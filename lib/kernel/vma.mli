@@ -9,10 +9,6 @@ type t = {
   start : int;
   len : int;
   mutable prot : prot;
-  mutable fault_around : int option;
-      (** per-VMA fault-around cluster override: [Some n] installs up
-          to [n] pages per demand fault regardless of the kernel-wide
-          setting; [None] (the default) follows the kernel. *)
 }
 
 val rw : prot

@@ -451,58 +451,6 @@ let map_unprotected t (pgt_id, tbl) ~page ~(vma : Vma.t) ~fake ~exec =
   Lz_table.map_page tbl ~va:page ~fake_pa:fake attrs;
   note_mapping t ~va:page ~pgt_id ~fake
 
-(* Fault-around, unprotected pages only: mirror up to cluster-1
-   further unmapped pages of the same VMA into this pgt at marginal
-   PTE-install cost instead of one full forwarded trap each.
-   Protected pages are excluded — registry membership must be decided
-   per page per pgt — and executable mappings stay one-page-at-a-time
-   so every +X page passes the sanitizer on its own fault. *)
-(* Cluster install for the pages following a demand fault in an
-   unprotected VMA.  Unprotected mirrors are global (nG = 0) and carry
-   an identical PTE in every zone table — they live in last-level
-   tables shared across the zone page tables, so one store publishes
-   the page to all zones at once.  We therefore install each clustered
-   page into every live pgt and charge [fault_around_page] once per
-   page, not once per table.  Protected pages, executable frames and
-   bit-47 module addresses are never clustered: those keep the full
-   one-fault-per-page checking path. *)
-let fault_around_unprotected t ~page ~(vma : Vma.t) =
-  let sh = shadow_of t in
-  let n = Kernel.fault_around_count t.kernel vma in
-  let limit = Vma.end_ vma in
-  let va = ref (page + 4096) in
-  let i = ref 1 in
-  while !i < n && !va < limit && not (Bits.bit !va 47) do
-    let pva = !va in
-    if not (Hashtbl.mem sh.prot pva) then
-      (match linux_backing t ~va:pva with
-      | None -> ()
-      | Some (vma', real) ->
-          let fake = Fake_phys.assign t.fake ~real in
-          if not (Hashtbl.mem sh.exec_frames fake) then begin
-            Stage2.map_page t.machine.Machine.phys ~root:t.s2_root
-              ~ipa:fake ~pa:real s2_rw;
-            let installed = ref false in
-            Zone_tab.iteri
-              (fun pgt_id tbl ->
-                let already =
-                  match Hashtbl.find_opt sh.mapped_in pva with
-                  | Some ids -> List.mem pgt_id !ids
-                  | None -> false
-                in
-                if not already then begin
-                  map_unprotected t (pgt_id, tbl) ~page:pva ~vma:vma' ~fake
-                    ~exec:false;
-                  installed := true
-                end)
-              t.pgts;
-            if !installed then
-              Core.charge t.core (cost t).Cost_model.fault_around_page
-          end);
-    incr i;
-    va := pva + 4096
-  done
-
 let sanitize_and_make_exec t ~page ~real ~fake =
   let sh = shadow_of t in
   (* Break-before-make: drop every mapping of the frame first. *)
@@ -664,9 +612,7 @@ let handle_lz_fault t ~va ~(access : Mmu.access) ~perm_fault =
                     Stage2.map_page t.machine.Machine.phys ~root:t.s2_root
                       ~ipa:fake ~pa:real s2_rw;
                   map_unprotected t (pgt_id, tbl) ~page ~vma ~fake
-                    ~exec:false;
-                  if Kernel.fault_around_count t.kernel vma > 1 then
-                    fault_around_unprotected t ~page ~vma
+                    ~exec:false
                 end))
 
 (* ------------------------------------------------------------------ *)

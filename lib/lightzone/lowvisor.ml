@@ -1,17 +1,13 @@
 open Lz_arm
 open Lz_cpu
 
-(* Pre-computed cycle totals for one forwarding direction.  The slow
-   totals are the arithmetic sum of exactly the per-register charges
-   the original loop made, so coalescing them into a single [Core.charge]
-   is bit-identical to charging them one by one.  The fast totals are
-   what a steady-state forward costs once the static configuration
-   registers have been synchronized (see [active_switch_regs]). *)
+(* Pre-computed cycle totals for one forwarding direction: the
+   arithmetic sum of exactly the per-register charges of the partial
+   switch, so one [Core.charge] is bit-identical to charging them one
+   by one. *)
 type costs = {
   full_in : int;
   full_out : int;
-  fast_in : int;
-  fast_out : int;
 }
 
 type t = {
@@ -20,8 +16,6 @@ type t = {
   mutable repoint_pending : bool;
   mutable forwards : int;
   mutable repoints : int;
-  mutable fast : bool;
-  mutable synced : bool;
   costs : costs;
 }
 
@@ -34,54 +28,33 @@ let partial_switch_regs =
     Sysreg.VBAR_EL1; Sysreg.CONTEXTIDR_EL1; Sysreg.SP_EL1; Sysreg.MAIR_EL1;
     Sysreg.CPACR_EL1; Sysreg.CNTKCTL_EL1 ]
 
-(* The subset that actually changes between two steady-state worlds:
-   translation roots, the vector base and the kernel stack pointer.
-   TCR/SCTLR/MAIR/CPACR/CNTKCTL/CONTEXTIDR hold per-world constants,
-   so after one full switch in each direction their values are known
-   and the Lowvisor defers them through the shared register page
-   (NEVE-style), touching them again only after a repoint. *)
-let active_switch_regs =
-  [ Sysreg.TTBR0_EL1; Sysreg.TTBR1_EL1; Sysreg.VBAR_EL1; Sysreg.SP_EL1 ]
-
-(* One direction of the partial switch over [regs]: save one context
-   (sysreg read + memory write each) and load the other (memory read +
-   sysreg write). *)
-let partial_switch_cost (c : Cost_model.t) regs =
+(* One direction of the partial switch: save one context (sysreg read +
+   memory write each) and load the other (memory read + sysreg
+   write). *)
+let partial_switch_cost (c : Cost_model.t) =
   List.fold_left
     (fun acc r ->
       acc
       + (2 * Cost_model.sysreg_access c ~at:Pstate.EL2 r)
       + (2 * c.Cost_model.mem_access))
-    0 regs
+    0 partial_switch_regs
 
 let compute_costs (c : Cost_model.t) =
   let vttbr = Cost_model.sysreg_access c ~at:Pstate.EL2 Sysreg.VTTBR_EL2 in
-  let full = partial_switch_cost c partial_switch_regs in
-  let active = partial_switch_cost c active_switch_regs in
+  let full = partial_switch_cost c in
   { full_in =
       full + vttbr + c.Cost_model.gp_save + c.Cost_model.nested_extra
       + c.Cost_model.eret_el2;
     full_out =
       c.Cost_model.exc_entry_el2_from_el1 + full + vttbr
-      + c.Cost_model.gp_restore;
-    (* Steady state: only the active registers move, and the cached
-       repoint decision means the shared pt_regs pointer is known
-       valid — no per-forward revalidation walk (nested_extra). *)
-    fast_in = active + vttbr + c.Cost_model.gp_save + c.Cost_model.eret_el2;
-    fast_out =
-      c.Cost_model.exc_entry_el2_from_el1 + active + vttbr
       + c.Cost_model.gp_restore }
 
 let create hyp vm =
   let cost = hyp.Lz_hyp.Hypervisor.machine.Lz_kernel.Machine.cost in
   { hyp; vm; repoint_pending = true; forwards = 0; repoints = 0;
-    fast = false; synced = false; costs = compute_costs cost }
+    costs = compute_costs cost }
 
-let set_fast t on = t.fast <- on
-
-let notify_schedule t =
-  t.repoint_pending <- true;
-  t.synced <- false
+let notify_schedule t = t.repoint_pending <- true
 
 let charge_forward_in t (core : Core.t) =
   let c = core.Core.cost in
@@ -94,13 +67,10 @@ let charge_forward_in t (core : Core.t) =
   | None -> ());
   if repoint then begin
     t.repoint_pending <- false;
-    t.synced <- false;
     t.repoints <- t.repoints + 1;
     Core.charge core c.Cost_model.nested_repoint
   end;
-  if t.fast && t.synced && not repoint then
-    Core.charge core t.costs.fast_in
-  else Core.charge core t.costs.full_in
+  Core.charge core t.costs.full_in
 
 let charge_forward_out t (core : Core.t) =
   (match Core.tracer core with
@@ -108,9 +78,4 @@ let charge_forward_out t (core : Core.t) =
       Lz_trace.Trace.emit tr ~cycles:core.Core.cycles
         (Lz_trace.Trace.Nested_forward { enter = false; repoint = false })
   | None -> ());
-  if t.fast && t.synced then Core.charge core t.costs.fast_out
-  else Core.charge core t.costs.full_out;
-  (* Both directions have now moved the full register set at least
-     once since the last repoint: later forwards may defer the static
-     configuration registers. *)
-  t.synced <- true
+  Core.charge core t.costs.full_out

@@ -27,20 +27,13 @@
     fluctuate (Table 4 reports 29,020–32,881 cycles on Carmel).
 
     The forwarding charges are pre-computed per cost model at
-    {!create} time into a single cycle total per direction, so the
-    steady-state path does one [Core.charge] instead of a charge per
-    register — arithmetically identical to the per-register loop.
-    With {!set_fast} enabled, forwards after the first post-repoint
-    roundtrip additionally move only the registers that actually
-    differ between the two worlds ({!active_switch_regs}) and skip the
-    per-forward pt_regs revalidation, the trace-guided fast path. *)
+    {!create} time into a single cycle total per direction, so a
+    forward does one [Core.charge] instead of a charge per register —
+    arithmetically identical to the per-register loop. *)
 
 type costs = {
-  full_in : int;   (** full forward into the guest kernel. *)
-  full_out : int;  (** full return to the LightZone process. *)
-  fast_in : int;   (** steady-state forward: active registers only,
-                       cached repoint decision. *)
-  fast_out : int;  (** steady-state return. *)
+  full_in : int;   (** forward into the guest kernel. *)
+  full_out : int;  (** return to the LightZone process. *)
 }
 
 type t = {
@@ -49,35 +42,14 @@ type t = {
   mutable repoint_pending : bool;
   mutable forwards : int;
   mutable repoints : int;
-  mutable fast : bool;
-      (** steady-state fast path enabled (off by default). *)
-  mutable synced : bool;
-      (** both directions have moved the full register set since the
-          last repoint; static registers may be deferred. *)
   costs : costs;
 }
 
 val create : Lz_hyp.Hypervisor.t -> Lz_hyp.Vm.t -> t
 
-val set_fast : t -> bool -> unit
-(** Enable/disable the steady-state forwarding fast path. Off, every
-    forward pays the full partial switch — the behaviour is
-    cycle-identical to the unoptimized Lowvisor. *)
-
 val notify_schedule : t -> unit
 (** A scheduling event occurred in the guest: the next forwarded trap
-    pays the pt_regs re-location cost and re-syncs the full register
-    set. *)
-
-val partial_switch_regs : Lz_arm.Sysreg.t list
-(** The EL1 registers the Lowvisor moves between the LightZone process
-    and the guest kernel (both use them with different values; the
-    rest is shared or deferred). *)
-
-val active_switch_regs : Lz_arm.Sysreg.t list
-(** The subset of {!partial_switch_regs} that differs between two
-    steady-state worlds (translation roots, vector base, kernel stack
-    pointer) — the only registers the fast path moves. *)
+    pays the pt_regs re-location cost. *)
 
 val charge_forward_in : t -> Lz_cpu.Core.t -> unit
 (** Cycle charges from the EL2 arrival (already charged by the core)

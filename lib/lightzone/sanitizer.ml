@@ -11,7 +11,7 @@ let eret_word = 0xD69F03E0
 let eretaa_word = 0xD69F0BFF
 let eretab_word = 0xD69F0FFF
 
-let is_eret w = w = eret_word || w = eretaa_word || w = eretab_word
+let[@inline] is_eret w = w = eret_word || w = eretaa_word || w = eretab_word
 
 (* Unprivileged load/store: size(2) 111 0 00 opc(2) 0 imm9 10 Rn Rt.
    Mask out size, opc, imm9, registers. *)

@@ -2,7 +2,7 @@
 
    The registry the zone switch and fault paths consult used to be a
    Hashtbl keyed by pgt id: every probe hashed, and walking all zones
-   (fault-around, memory accounting, snapshots) paid hashing plus
+   (ASID index rebuilds, memory accounting, snapshots) paid hashing plus
    bucket-chain cache misses that grow with occupancy. At 4096+ zones
    this is the difference between a flat switch path and one that
    degrades with tenant count, so lookups are a single array read and

@@ -450,7 +450,7 @@ type soft = {
   so_killed : string option;
   so_faults : int;
   so_hint : int;
-  so_vmas : Vma.t list;  (* deep-copied: prot/fault_around mutate *)
+  so_vmas : Vma.t list;  (* deep-copied: prot mutates *)
   so_pool_next : int;
   so_qtarget : int;
   so_sd_sent : int;

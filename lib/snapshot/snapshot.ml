@@ -126,8 +126,6 @@ type t = {
   k_next_asid : int;
   k_s2_ctx : (int * int) option;
   k_syscall_count : int;
-  k_fault_around : int;
-  k_spurious_fast : bool;
   (* process *)
   p_vmas : Vma.t list;  (* deep copies *)
   p_exit_code : int option;
@@ -155,8 +153,6 @@ type t = {
 let copy_vma (v : Vma.t) = { v with Vma.prot = v.Vma.prot }
 let copy_vmas l = List.map copy_vma l
 
-let trace_mark s = s.s_trace
-
 let capture (z : Kmod.t) =
   let kernel = z.Kmod.kernel and proc = z.Kmod.proc in
   {
@@ -166,8 +162,6 @@ let capture (z : Kmod.t) =
     k_next_asid = kernel.Kernel.next_asid;
     k_s2_ctx = kernel.Kernel.s2_ctx;
     k_syscall_count = kernel.Kernel.syscall_count;
-    k_fault_around = kernel.Kernel.fault_around;
-    k_spurious_fast = kernel.Kernel.spurious_fast;
     p_vmas = copy_vmas proc.Proc.vmas;
     p_exit_code = proc.Proc.exit_code;
     p_killed = proc.Proc.killed;
@@ -203,8 +197,6 @@ let restore (z : Kmod.t) s =
   kernel.Kernel.next_asid <- s.k_next_asid;
   kernel.Kernel.s2_ctx <- s.k_s2_ctx;
   kernel.Kernel.syscall_count <- s.k_syscall_count;
-  kernel.Kernel.fault_around <- s.k_fault_around;
-  kernel.Kernel.spurious_fast <- s.k_spurious_fast;
   proc.Proc.vmas <- copy_vmas s.p_vmas;
   proc.Proc.exit_code <- s.p_exit_code;
   proc.Proc.killed <- s.p_killed;
@@ -311,8 +303,6 @@ let fork (z : Kmod.t) s =
       alloc_frame = (fun () -> Phys.alloc_frame phys);
       custom_trap = None;
       syscall_count = s.k_syscall_count;
-      fault_around = s.k_fault_around;
-      spurious_fast = s.k_spurious_fast;
       on_tick = None;
     }
   in

@@ -64,10 +64,6 @@ val same_frame : Lightzone.Kmod.t -> t -> int -> bool
     was captured from, or a {!fork} of it) still holds the image's
     contents — {!Lz_mem.Phys.same_frame} on the machine's memory. *)
 
-val trace_mark : t -> (int * int) option
-(** (total, points_seen) of the tracer attached at capture time, if
-    any — the event-ring position the snapshot corresponds to. *)
-
 (** {1 Forking}
 
     One warm image, many instances: {!fork} stamps out an independent
@@ -115,7 +111,7 @@ module Replay : sig
 
   val snapshots : recorder -> (int * t) list
   (** Captured snapshots, oldest first, keyed by the tracer sequence
-      number ({!trace_mark}) at capture. *)
+      number (events emitted so far) at capture. *)
 
   val release_all : recorder -> unit
 

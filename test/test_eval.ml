@@ -34,28 +34,56 @@ let test_table4_calibration () =
         rows Lz_eval.Trap_bench.paper)
     Lz_cpu.Cost_model.all
 
+(* The calibration check above allows 15% either way; these are the
+   exact simulated Table 4 rows, (lo, hi) in table order, so a change
+   to any trap path's cycle charges shows. *)
+let test_table4_exact () =
+  List.iter
+    (fun (cm, expected) ->
+      let got =
+        List.map
+          (fun r -> (r.Lz_eval.Trap_bench.lo, r.Lz_eval.Trap_bench.hi))
+          (Lz_eval.Trap_bench.table cm)
+      in
+      Alcotest.(check (list (pair int int)))
+        (Lz_cpu.Cost_model.name cm) expected got)
+    [ ( Lz_cpu.Cost_model.carmel,
+        [ (3803, 3803); (1433, 1433); (3373, 3373); (29403, 32903);
+          (28594, 28594); (1600, 1600); (1115, 1115) ] );
+      ( Lz_cpu.Cost_model.cortex_a55,
+        [ (303, 303); (289, 289); (537, 537); (1854, 2204); (1294, 1294);
+          (88, 88); (37, 37) ] ) ]
+
 (* Golden simulated outputs: the tolerance checks above would let
    the reproduction's figures drift by a few percent unnoticed, so
-   one Table 5 run is pinned exactly. A change to these values is a
+   two Table 5 runs are pinned exactly: the host module path and the
+   Lowvisor-forwarded guest path. Both execute the same program, so
+   only their cycle counts differ. A change to these values is a
    change to the cost model or the simulated semantics and must be
    deliberate. *)
 let test_table5_golden () =
-  let r =
-    Lz_eval.Switch_bench.run_lz_full Lz_cpu.Cost_model.cortex_a55
-      ~env:Lz_eval.Switch_bench.Host
-      ~mech:(Lz_eval.Switch_bench.Mech Lz_eval.Switch_bench.Lz_ttbr)
-      ~domains:128 ~n:1000
-  in
-  let core = r.Lz_eval.Switch_bench.t.Lightzone.Kmod.core in
-  let check_int = Alcotest.(check int) in
-  check_int "cycles" 264352 core.Lz_cpu.Core.cycles;
-  check_int "insns" 46291 core.Lz_cpu.Core.insns;
-  check_int "tlb hits" 52984 (Lz_mem.Tlb.hits core.Lz_cpu.Core.tlb);
-  check_int "tlb misses" 438 (Lz_mem.Tlb.misses core.Lz_cpu.Core.tlb);
-  check_int "kmod traps" 141 r.Lz_eval.Switch_bench.t.Lightzone.Kmod.traps;
-  Alcotest.(check string)
-    "zone digest" "26ea2a392237faf10fb6e3370d23b592"
-    (Lz_eval.Switch_bench.zone_digest r.Lz_eval.Switch_bench.t)
+  List.iter
+    (fun (cm, env, cycles) ->
+      let r =
+        Lz_eval.Switch_bench.run_lz_full cm ~env
+          ~mech:(Lz_eval.Switch_bench.Mech Lz_eval.Switch_bench.Lz_ttbr)
+          ~domains:128 ~n:1000
+      in
+      let core = r.Lz_eval.Switch_bench.t.Lightzone.Kmod.core in
+      let check_int what =
+        Alcotest.(check int) (Lz_cpu.Cost_model.name cm ^ " " ^ what)
+      in
+      check_int "cycles" cycles core.Lz_cpu.Core.cycles;
+      check_int "insns" 46291 core.Lz_cpu.Core.insns;
+      check_int "tlb hits" 52984 (Lz_mem.Tlb.hits core.Lz_cpu.Core.tlb);
+      check_int "tlb misses" 438 (Lz_mem.Tlb.misses core.Lz_cpu.Core.tlb);
+      check_int "kmod traps" 141
+        r.Lz_eval.Switch_bench.t.Lightzone.Kmod.traps;
+      Alcotest.(check string)
+        "zone digest" "26ea2a392237faf10fb6e3370d23b592"
+        (Lz_eval.Switch_bench.zone_digest r.Lz_eval.Switch_bench.t))
+    [ (Lz_cpu.Cost_model.cortex_a55, Lz_eval.Switch_bench.Host, 264352);
+      (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Guest, 4758230) ]
 
 (* The call gate's MSR TTBR0_EL1, ISB and MRS run inside one block, so
    a warm 128-domain slice enters 4 blocks per switch (main loop,
@@ -208,6 +236,7 @@ let () =
     [ ( "table4",
         [ Alcotest.test_case "calibration vs paper" `Slow
             test_table4_calibration;
+          Alcotest.test_case "exact rows" `Quick test_table4_exact;
           Alcotest.test_case "carmel headline" `Quick
             test_lz_trap_beats_host_on_carmel ] );
       ( "table5",

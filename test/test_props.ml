@@ -9,6 +9,8 @@
    - the TLB is a transparent cache: with and without it, translation
      agrees; and it matches a FIFO reference model operation by
      operation;
+   - demand paging installs exactly the pages a program touches and
+     is invisible to it;
    - AES encrypt/decrypt are inverses for random keys and plaintexts;
    - a LightZone process with N random domains allows exactly the
      accesses its protection registry says it should. *)
@@ -1319,89 +1321,76 @@ let prop_xl_equivalent =
       engines_agree (xl_observe ~segs ~iters ~slice ~traced))
 
 (* ------------------------------------------------------------------ *)
-(* Fault-around equivalence: clustering demand faults (and the
-   spurious-fault revalidation) is a pure cost optimisation. For any
-   random access pattern over a multi-page VMA, running with
-   fault-around on (kernel-wide or as a per-VMA override) must produce
-   the same exit code, the same final registers and the same retired
-   instruction count as the strict one-page-per-fault path; only the
-   cycle count may move. *)
+(* Demand paging: a translation fault installs the one faulting page.
+   For any random access pattern over a multi-page VMA, running with
+   the VMA demand-faulted must produce the same exit code and final
+   registers as running with it populated up front, and afterwards
+   exactly the touched pages are resident — no fault clusters. *)
 
-let fa_data_va = 0x600000
-let fa_pages = 12
+let df_data_va = 0x600000
+let df_pages = 12
 
-let run_fault_around_case ~around ~override ~spurious probes =
+let run_demand_fault_case ~populated probes =
   let machine = Lz_kernel.Machine.create () in
   let kernel = Lz_kernel.Kernel.create machine Lz_kernel.Kernel.Host_vhe in
   let proc = Lz_kernel.Kernel.create_process kernel in
   ignore (Lz_kernel.Kernel.map_anon kernel proc ~at:(stack_va - 0x10000)
             ~len:0x10000 Lz_kernel.Vma.rw);
-  ignore (Lz_kernel.Kernel.map_anon kernel proc ~at:fa_data_va
-            ~len:(fa_pages * 4096) Lz_kernel.Vma.rw);
-  if around > 1 then
-    if override then
-      (match Lz_kernel.Proc.find_vma proc fa_data_va with
-      | Some vma -> vma.Lz_kernel.Vma.fault_around <- Some around
-      | None -> assert false)
-    else kernel.Lz_kernel.Kernel.fault_around <- around;
-  kernel.Lz_kernel.Kernel.spurious_fast <- spurious;
+  ignore (Lz_kernel.Kernel.map_anon kernel proc ~at:df_data_va
+            ~len:(df_pages * 4096) Lz_kernel.Vma.rw);
+  if populated then
+    Lz_kernel.Kernel.populate kernel proc ~start:df_data_va
+      ~len:(df_pages * 4096);
   let addr_of idx =
-    [ Lz_arm.Insn.Movz (0, 0x60, 0); Lz_arm.Insn.Lsl_imm (0, 0, 16);
-      Lz_arm.Insn.Movz (1, idx * 4096, 0);
-      Lz_arm.Insn.Add (0, 0, Lz_arm.Insn.Reg 1) ]
+    [ Insn.Movz (0, 0x60, 0); Insn.Lsl_imm (0, 0, 16);
+      Insn.Movz (1, idx * 4096, 0); Insn.Add (0, 0, Insn.Reg 1) ]
   in
   let writes =
     List.concat_map
-      (fun (idx, v) ->
-        addr_of idx
-        @ [ Lz_arm.Insn.Movz (2, v, 0); Lz_arm.Insn.Str (2, 0, 0) ])
+      (fun (idx, v) -> addr_of idx @ [ Insn.Movz (2, v, 0); Insn.Str (2, 0, 0) ])
       probes
   in
   let reads =
     List.concat_map
       (fun (idx, _) ->
-        addr_of idx
-        @ [ Lz_arm.Insn.Ldr (3, 0, 0);
-            Lz_arm.Insn.Add (4, 4, Lz_arm.Insn.Reg 3) ])
+        addr_of idx @ [ Insn.Ldr (3, 0, 0); Insn.Add (4, 4, Insn.Reg 3) ])
       probes
   in
   let prog =
     writes @ reads
-    @ [ Lz_arm.Insn.Movz (8, Lz_kernel.Kernel.Nr.exit, 0);
-        Lz_arm.Insn.Mov_reg (0, 4); Lz_arm.Insn.Svc 0 ]
+    @ [ Insn.Movz (8, Lz_kernel.Kernel.Nr.exit, 0); Insn.Mov_reg (0, 4);
+        Insn.Svc 0 ]
   in
   Lz_kernel.Kernel.load_program kernel proc ~va:code_va prog;
   let core =
     Lz_kernel.Kernel.new_user_core kernel proc ~entry:code_va ~sp:stack_va
   in
   let outcome = Lz_kernel.Kernel.run kernel proc core in
-  (outcome, Array.copy core.Lz_cpu.Core.regs)
+  let resident =
+    List.filter
+      (fun idx ->
+        Result.is_ok
+          (Stage1.walk machine.Lz_kernel.Machine.phys
+             ~root:proc.Lz_kernel.Proc.root ~va:(df_data_va + (idx * 4096))))
+      (List.init df_pages Fun.id)
+  in
+  (outcome, Array.copy core.Lz_cpu.Core.regs, resident)
 
-let prop_fault_around_equivalent =
+let prop_demand_fault_one_page =
   QCheck2.Test.make
-    ~name:"kernel: fault-around clustering is architecturally invisible"
+    ~name:"kernel: demand paging installs exactly the touched pages"
     ~count:60
-    ~print:(fun (probes, (around, override, spurious)) ->
-      Printf.sprintf "probes=[%s] around=%d override=%b spurious=%b"
+    ~print:(fun probes ->
+      Printf.sprintf "probes=[%s]"
         (String.concat "; "
-           (List.map (fun (i, v) -> Printf.sprintf "(%d,%d)" i v) probes))
-        around override spurious)
+           (List.map (fun (i, v) -> Printf.sprintf "(%d,%d)" i v) probes)))
     QCheck2.Gen.(
-      pair
-        (list_size (int_range 1 10)
-           (pair (int_bound (fa_pages - 1)) (int_bound 50)))
-        (triple (int_range 2 16) bool bool))
-    (fun (probes, (around, override, spurious)) ->
-      let base = run_fault_around_case ~around:1 ~override:false
-          ~spurious:false probes
-      in
-      let fa = run_fault_around_case ~around ~override ~spurious probes in
-      let (o1, r1) = base and (o2, r2) = fa in
-      (* [insns] counts execution attempts, so avoided fault retries
-         legitimately lower it; everything the program can observe —
-         outcome (the read-back sum) and final registers — must be
-         bit-identical. *)
-      o1 = o2 && r1 = r2)
+      list_size (int_range 1 10) (pair (int_bound (df_pages - 1)) (int_bound 50)))
+    (fun probes ->
+      let o1, r1, touched = run_demand_fault_case ~populated:false probes in
+      let o2, r2, _ = run_demand_fault_case ~populated:true probes in
+      let expected = List.sort_uniq compare (List.map fst probes) in
+      o1 = o2 && r1 = r2 && touched = expected)
 
 (* ------------------------------------------------------------------ *)
 (* ASID recycling transparency *)
@@ -1547,7 +1536,7 @@ let () =
           q prop_branchy_traced_equivalent;
           q prop_sx_smc_equivalent;
           q prop_xl_equivalent ] );
-      ( "fault-around", [ q prop_fault_around_equivalent ] );
+      ( "demand-fault", [ q prop_demand_fault_one_page ] );
       ( "aes", [ q prop_aes_roundtrip; q prop_aes_cbc_roundtrip ] );
       ( "lightzone",
         [ q prop_lz_policy; q prop_asid_recycling_transparent ] ) ]

@@ -309,7 +309,7 @@ let test_blocks_invisible_under_trace () =
     (* Pin the global VMID allocator so the flush events of two
        complete runs can be compared byte-for-byte. *)
     Lightzone.Api.next_vmid := 0x100;
-    Lz_eval.Switch_bench.traced_run ~fast_paths:true Cost_model.cortex_a55
+    Lz_eval.Switch_bench.traced_run Cost_model.cortex_a55
       ~env:Lz_eval.Switch_bench.Host ~domains:128 ~n:300
   in
   let saved = !Core.default_engine in
@@ -447,51 +447,6 @@ let prop_tracing_invisible =
       | Some d -> QCheck2.Test.fail_report d)
 
 (* ------------------------------------------------------------------ *)
-(* Trap fast paths shrink the hot spans: with the Lowvisor
-   steady-state forwarding, shallow hypercall return and fault-around
-   enabled, the combined exclusive trap.hvc + trap.dabort cycles of a
-   Table 5 style run must strictly decrease — on both the host module
-   path and the Lowvisor-forwarded guest path — while attribution
-   coverage stays complete. *)
-
-let hot_trap_cycles (rep : Span.report) =
-  List.fold_left
-    (fun acc (r : Span.row) ->
-      if r.Span.name = "trap.hvc" || r.Span.name = "trap.dabort" then
-        acc + r.Span.cycles
-      else acc)
-    0 rep.Span.rows
-
-let test_fast_paths_shrink_traps () =
-  List.iter
-    (fun (label, env, cm, n) ->
-      let slow = Lz_eval.Switch_bench.traced_run cm ~env ~domains:16 ~n in
-      let fast =
-        Lz_eval.Switch_bench.traced_run ~fast_paths:true cm ~env ~domains:16
-          ~n
-      in
-      let s = hot_trap_cycles slow.Lz_eval.Switch_bench.report in
-      let f = hot_trap_cycles fast.Lz_eval.Switch_bench.report in
-      check_bool
-        (Printf.sprintf "%s: trap.hvc+trap.dabort exclusive shrink (%d -> %d)"
-           label s f)
-        true (f < s);
-      check_bool
-        (Printf.sprintf "%s: total cycles shrink (%d -> %d)" label
-           slow.Lz_eval.Switch_bench.total_cycles
-           fast.Lz_eval.Switch_bench.total_cycles)
-        true
-        (fast.Lz_eval.Switch_bench.total_cycles
-        < slow.Lz_eval.Switch_bench.total_cycles);
-      check_bool
-        (Printf.sprintf "%s: fast-run coverage >= 0.95" label)
-        true
-        (fast.Lz_eval.Switch_bench.report.Span.coverage >= 0.95))
-    (* The host run needs enough switches for a multi-page index array,
-       or there is nothing for fault-around to cluster. *)
-    [ ("host/cortex", Lz_eval.Switch_bench.Host, Cost_model.cortex_a55, 2000);
-      ("guest/carmel", Lz_eval.Switch_bench.Guest, Cost_model.carmel, 300) ]
-
 let prop_fast_slow_with_tracing =
   QCheck2.Test.make
     ~name:"trace: fast path stays invisible with tracing on" ~count:15
@@ -535,8 +490,6 @@ let () =
             test_decimation;
           Alcotest.test_case "forwarded-trap attribution (regression)"
             `Quick test_forwarded_trap_attribution;
-          Alcotest.test_case "fast paths shrink the hot trap spans" `Quick
-            test_fast_paths_shrink_traps;
           Alcotest.test_case "superblocks invisible under trace (128 dom)"
             `Quick test_blocks_invisible_under_trace ] );
       ( "invisibility",
