@@ -104,9 +104,10 @@ scale: build
 
 # CI variant: 256 zones in a 9-bit space — same rollover, flatness
 # and zero-allocation gates at a fraction of the runtime. Compares
-# against BENCH_scale.smoke.json (not committed; skipped when absent)
-# and writes BENCH_scale.smoke.check.json, so it never touches the
-# full run's baseline.
+# every simulated count against the committed BENCH_scale.smoke.json
+# (its MIPS are informational: the smoke run is too short to time)
+# and writes BENCH_scale.smoke.check.json, so it never touches either
+# baseline.
 scale-smoke: build
 	dune exec bench/scale.exe -- --smoke --check
 

@@ -35,7 +35,7 @@ let mean l = List.fold_left ( +. ) 0. l /. float_of_int (max 1 (List.length l))
 let () =
   let smoke, _ = Report.flags "fleet" in
   let instances = if smoke then 64 else 1024 in
-  let slice_n = if smoke then 300 else 1000 in
+  let slice_switches = if smoke then 300 else 1000 in
   (* Batch sizes for the MIPS curve; batches are disjoint, so the
      total churned is their sum. *)
   let counts = if smoke then [ 1; 4; 16 ] else [ 1; 4; 16; 64; 256 ] in
@@ -44,7 +44,7 @@ let () =
 
   (* Warm image. *)
   let t0 = now () in
-  let r = Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n in
+  let r = Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_switches in
   let warm_seconds = now () -. t0 in
   let z = r.Sb.t in
   let image = Snapshot.capture z in
@@ -56,7 +56,7 @@ let () =
   let cold_times =
     List.init cold_samples (fun _ ->
         let c0 = now () in
-        ignore (Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n);
+        ignore (Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_switches);
         now () -. c0)
   in
   let cold_mean = mean cold_times in
@@ -143,7 +143,8 @@ let () =
   finish
     (make ~bench:"fleet" ~smoke
        ([ row "params"
-            [ int Info "domains" domains; int Info "slice_switches" slice_n;
+            [ int Info "domains" domains;
+              int Info "slice_switches" slice_switches;
               int Info "instances" instances;
               int Info "cold_samples" cold_samples;
               int Info "churned_instances" churned ];

@@ -54,14 +54,16 @@ let table4 () =
         Lz_eval.Trap_bench.paper)
     Lz_cpu.Cost_model.all
 
+(* The paper's three Table 5 configurations: cost model, environment
+   and the label [Switch_bench.paper_table5] is keyed by. *)
+let table5_configs =
+  [ (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Host, "Carmel Host");
+    (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Guest, "Carmel Guest");
+    (Lz_cpu.Cost_model.cortex_a55, Lz_eval.Switch_bench.Host, "Cortex") ]
+
 let table5 () =
   hr "Table 5: average cycles per domain switch (with secure call gate)";
   let iterations = if !quick then 1_000 else 10_000 in
-  let cases =
-    [ (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Host, "Carmel Host");
-      (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Guest, "Carmel Guest");
-      (Lz_cpu.Cost_model.cortex_a55, Lz_eval.Switch_bench.Host, "Cortex") ]
-  in
   List.iter
     (fun (cm, env, label) ->
       let paper = List.assoc label Lz_eval.Switch_bench.paper_table5 in
@@ -78,7 +80,7 @@ let table5 () =
             (s plz))
         (Lz_eval.Switch_bench.table5 ~iterations cm env)
         paper)
-    cases
+    table5_configs
 
 (* table5 --preempt: the 128-domain Table 5 workload under the
    preemptive timer. The generic timer fires PPI 30 every [slice]
@@ -115,9 +117,7 @@ let table5_preempt () =
          else
            Printf.sprintf "MISMATCH (%s vs %s)"
              coop.Lz_eval.Switch_bench.digest pre.Lz_eval.Switch_bench.digest))
-    [ (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Host, "Carmel Host");
-      (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Guest, "Carmel Guest");
-      (Lz_cpu.Cost_model.cortex_a55, Lz_eval.Switch_bench.Host, "Cortex") ];
+    table5_configs;
   if !failures > 0 then begin
     Format.printf "@.verdict: FAILURE (%d configuration(s) diverged)@."
       !failures;
@@ -245,11 +245,6 @@ let pentest () =
 let trace () =
   hr "Trace: Table 5 cycle attribution (BENCH_table5_trace.json)";
   let iterations = if !quick then 500 else 2_000 in
-  let cases =
-    [ (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Host, "Carmel Host");
-      (Lz_cpu.Cost_model.carmel, Lz_eval.Switch_bench.Guest, "Carmel Guest");
-      (Lz_cpu.Cost_model.cortex_a55, Lz_eval.Switch_bench.Host, "Cortex") ]
-  in
   let failures = ref 0 in
   let entries =
     List.map
@@ -266,7 +261,7 @@ let trace () =
         Format.printf "%a@." Lz_trace.Span.pp_report report;
         Printf.sprintf "  %S: %s" label
           (Lz_trace.Span.report_to_json report))
-      cases
+      table5_configs
   in
   let oc = open_out "BENCH_table5_trace.json" in
   Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" entries);

@@ -29,9 +29,11 @@
      engine (the default) and on the per-insn fast engine alike.
 
    `--check` compares against the committed report of the same mode
-   (Report): MIPS at the top K is a [Higher] metric, and every row's
-   simulated counts and cycles/switch are [Exact] ones. `--smoke` is
-   the CI variant. *)
+   (Report): every row's simulated counts and cycles/switch are
+   [Exact] metrics, and in the full run MIPS at the top K is a
+   [Higher] one. `--smoke` is the CI variant; its top K times in
+   tens of milliseconds, too short to carry a 20% MIPS gate, so there
+   every MIPS figure is [Info]. *)
 
 module Core = Lz_cpu.Core
 open Lz_kernel
@@ -223,10 +225,14 @@ let () =
   let report =
     let open Report in
     let row_of r =
-      (* The baseline gate watches MIPS at the top K only. *)
+      (* The baseline gate watches MIPS at the top K of a full run
+         only. *)
+      let mips_kind =
+        if r.zones = top.zones && not smoke then Higher else Info
+      in
       row
         (Printf.sprintf "zones=%d" r.zones)
-        [ float (if r.zones = top.zones then Higher else Info) "mips" r.mips;
+        [ float mips_kind "mips" r.mips;
           int Exact "connections" r.connections;
           int Exact "switches" r.switches;
           int Exact "insns" r.insns;

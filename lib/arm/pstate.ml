@@ -61,7 +61,3 @@ let set_nzcv t w =
 
 let pp_el ppf el =
   Format.fprintf ppf "EL%d" (el_number el)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%a pan=%b nzcv=%x daif=%x@]" pp_el t.el t.pan
-    (nzcv t) t.daif

@@ -28,9 +28,6 @@ val copy : t -> t
 val el_number : el -> int
 (** [el_number el] is 0, 1 or 2. *)
 
-val el_of_number : int -> el
-(** Inverse of {!el_number}. Raises [Invalid_argument] otherwise. *)
-
 val to_spsr : t -> int
 (** Pack PSTATE into an SPSR-format word (for exception entry). *)
 
@@ -43,4 +40,3 @@ val nzcv : t -> int
 val set_nzcv : t -> int -> unit
 
 val pp_el : Format.formatter -> el -> unit
-val pp : Format.formatter -> t -> unit

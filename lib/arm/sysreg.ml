@@ -462,5 +462,3 @@ module Hcr = struct
   let trvm = 1 lsl 30
   let e2h = 1 lsl 34
 end
-
-let pp ppf r = Format.pp_print_string ppf (name r)

@@ -63,8 +63,8 @@ type t =
   | PMCCNTR_EL0
   (* Constant constructors (rather than [PMEVCNTR_EL0 of int]) keep
      [t] an all-immediate enum, so the register file's per-instruction
-     index computation never touches a boxed value. Build them with
-     {!pmevcntr}/{!pmevtyper}; recover the slot with {!pmev_slot}. *)
+     index computation never touches a boxed value. Recover the slot
+     with {!pmev_slot}. *)
   | PMEVCNTR0_EL0 | PMEVCNTR1_EL0 | PMEVCNTR2_EL0
   | PMEVCNTR3_EL0 | PMEVCNTR4_EL0 | PMEVCNTR5_EL0
   | PMEVTYPER0_EL0 | PMEVTYPER1_EL0 | PMEVTYPER2_EL0
@@ -91,17 +91,6 @@ type t =
   | ICC_IGRPEN1_EL1
   | ICC_RPR_EL1
   | ICC_SGI1R_EL1
-
-val pmu_event_counters : int
-(** Number of modelled PMEVCNTRn/PMEVTYPERn pairs (6). *)
-
-val pmevcntr : int -> t
-(** [pmevcntr n] is PMEVCNTR[n]_EL0; raises for n outside
-    0..{!pmu_event_counters}-1. *)
-
-val pmevtyper : int -> t
-(** [pmevtyper n] is PMEVTYPER[n]_EL0; raises for n outside
-    0..{!pmu_event_counters}-1. *)
 
 val pmev_slot : t -> int
 (** The counter slot of a PMEVCNTRn/PMEVTYPERn register; raises for any
@@ -185,5 +174,3 @@ module Hcr : sig
   val tge : int
   val e2h : int
 end
-
-val pp : Format.formatter -> t -> unit

@@ -118,16 +118,6 @@ let dup_base_view t =
   Stage1.dup (phys_of t) ~root:t.proc.Proc.root
     ~transform:(fun ~va:_ pte -> Some pte)
 
-let protect_domain t ~va ~len =
-  let phys = phys_of t in
-  let pages = (len + 4095) / 4096 in
-  List.iter
-    (fun (_, root) ->
-      for i = 0 to pages - 1 do
-        Stage1.unmap phys ~root ~va:(Bits.align_down va 4096 + (i * 4096))
-      done)
-    t.contexts
-
 let register_domain t ~va ~len ~ctx = t.domains <- (va, len, ctx) :: t.domains
 
 let unmap_range phys ~root ~va ~len =

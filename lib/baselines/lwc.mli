@@ -29,6 +29,3 @@ val new_context : t -> domain:(int * int) option -> int
     process plus optionally one protected [va, len) domain. Returns
     the context id. Pages of every registered domain are hidden from
     every other context. *)
-
-val protect_domain : t -> va:int -> len:int -> unit
-(** Mark a region as domain-private: unmap it from the base context. *)

@@ -34,12 +34,6 @@ let properties = function
         isolates_precompiled = false;
         max_domains = `Per_type }
 
-let name = function
-  | Classic_full -> "SFI (load+store)"
-  | Store_only -> "SFI (store-only)"
-  | Lfi -> "LFI"
-  | Tdi -> "TDI"
-
 let apply_overhead v ~base_cycles ~mem_fraction =
   let p = properties v in
   let mem = float_of_int base_cycles *. mem_fraction in

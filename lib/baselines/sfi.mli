@@ -26,8 +26,6 @@ type properties = {
 
 val properties : variant -> properties
 
-val name : variant -> string
-
 val apply_overhead : variant -> base_cycles:int -> mem_fraction:float -> int
 (** Workload cycles after instrumentation, given the fraction of
     cycles spent in memory instructions. *)

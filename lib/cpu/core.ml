@@ -133,7 +133,7 @@ let pmu t = t.pmu
 
 (* The IRQ fabric attaches the same way: lazily on the first guest
    ICC_*/CNTP_* access, or eagerly from the host ([?dist] shares one
-   distributor between cores for SGI/SPI routing). Attachment alone
+   distributor between cores for SGI routing). Attachment alone
    never perturbs execution — delivery requires something to raise an
    interrupt line first. *)
 let attach_irq ?dist t =
@@ -511,8 +511,8 @@ let note_irq_enter t ~intid ~to_el =
    Delivery depends only on architectural state (DAIF, HCR, the GIC
    latches) and the cycle counter, all of which are bit-identical
    across those modes. IRQs route to EL2 when HCR_EL2.{IMO,TGE} claim
-   them (the hypervisor then re-injects into the guest as a virtual
-   interrupt); otherwise they take the EL1 vector at VBAR_EL1 + 0x280
+   them (the host kernel under TGE, the LightZone module under IMO);
+   otherwise they take the EL1 vector at VBAR_EL1 + 0x280
    (current EL, SPx) or + 0x480 (from EL0). No ESR is written — the
    handler identifies the source by reading ICC_IAR1_EL1. *)
 let take_irq t intid =
@@ -579,6 +579,23 @@ let quiesce_irq t intid =
         | Some p when Pmu.irq_line p ~cycles:t.cycles ~insns:t.insns ->
             Pmu.write_ovsclr p ~cycles:t.cycles ~insns:t.insns (-1)
         | _ -> ()
+
+(* The OCaml-modelled handlers' GIC service of one physical interrupt:
+   acknowledge at the CPU interface, run [hook] on the INTID, quiesce
+   a source it left asserted, EOI — each GIC access charged from the
+   cost model. A spurious acknowledge stops after the charge. *)
+let service_irq t hook =
+  match t.irqc with
+  | None -> ()
+  | Some iv ->
+      charge t t.cost.gic_ack;
+      let intid = Lz_irq.Irq.ack iv in
+      if intid <> Lz_irq.Gic.spurious then begin
+        hook intid;
+        quiesce_irq t intid;
+        Lz_irq.Irq.eoi iv intid;
+        charge t t.cost.gic_eoi
+      end
 
 (* Exception routing: decides who handles an exception, performs the
    architectural entry, and reports whether the harness takes over. *)

@@ -147,9 +147,6 @@ val reg : t -> int -> int
 val set_reg : t -> int -> int -> unit
 (** Write x0..x30; writes to 31 are discarded. *)
 
-val sp : t -> int
-(** Current stack pointer per PSTATE.SPSel and EL. *)
-
 val set_sp : t -> int -> unit
 
 val read_mem :
@@ -211,7 +208,7 @@ val pmu : t -> Lz_arm.Pmu.t option
 
 val attach_irq : ?dist:Lz_irq.Gic.dist -> t -> Lz_irq.Irq.t
 (** The core's interrupt fabric, created on first use. [?dist] shares
-    an existing distributor (SPI/SGI routing) between cores. *)
+    an existing distributor (SGI routing) between cores. *)
 
 val irq : t -> Lz_irq.Irq.t option
 
@@ -220,6 +217,12 @@ val quiesce_irq : t -> int -> unit
     still asserted (stop the timer, clear PMU overflow) — the
     fallback for OCaml-modelled handlers that did not reprogram the
     source themselves, preventing level-triggered re-delivery loops. *)
+
+val service_irq : t -> (int -> unit) -> unit
+(** [service_irq core hook]: field one physical interrupt for an
+    OCaml-modelled handler — charge [gic_ack], acknowledge, run [hook]
+    on the INTID, {!quiesce_irq}, EOI, charge [gic_eoi]. A spurious
+    acknowledge stops after the first charge; no fabric, no-op. *)
 
 val pp_stop : Format.formatter -> stop -> unit
 

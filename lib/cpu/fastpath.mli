@@ -128,15 +128,6 @@ val reset : t -> unit
 
     Used by [Core]'s block dispatcher; exposed for tests. *)
 
-val max_block_insns : int
-
-val fold_threshold : int
-(** |bias| at which a conditional branch is folded into the block. *)
-
-val retrain_min : int
-(** Cold side exits through one stub before its hot/cold ratio is
-    examined for retraining. *)
-
 type ending = Straight | Chain | Cond of int | Stop
 
 val ending_of : Lz_arm.Insn.t -> ending
@@ -166,13 +157,8 @@ val eff_of : Lz_arm.Insn.t -> int
 val block_at : t -> Lz_mem.Phys.t -> int -> block
 (** The superblock starting at physical address [pa], from cache or
     freshly built (decoding forward, folding hot branches, until an
-    unfolded branch, a [Stop] instruction, the page boundary or
-    {!max_block_insns}). Counts a cache hit or a
-    build in {!stats}. *)
-
-val kill_block : t -> Lz_mem.Phys.t -> block -> unit
-(** Retire one block (bias retraining): mark it dead and clear its
-    cache slot so the next dispatch re-forms it. *)
+    unfolded branch, a [Stop] instruction, the page boundary or 64
+    instructions). Counts a cache hit or a build in {!stats}. *)
 
 val note_side_exit : t -> Lz_mem.Phys.t -> block -> side_exit -> unit
 (** Record one cold-direction exit through [side_exit]; retrains (kills

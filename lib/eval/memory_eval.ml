@@ -135,12 +135,14 @@ type cow_report = {
 
 let frame_bytes = 4096
 
-let cow ?(forks = 16) ?(churn = 4) ?(domains = 128) ?(switches = 300) cm =
-  let r = Switch_bench.prepare cm ~env:Switch_bench.Host ~domains ~n:switches in
+let cow cm =
+  let forks = 16 and churned = 4 in
+  let r =
+    Switch_bench.prepare cm ~env:Switch_bench.Host ~domains:128 ~n:300
+  in
   let z = r.Switch_bench.t in
   let image = Lz_snap.Snapshot.capture z in
   let fleet = Array.init forks (fun _ -> Lz_snap.Snapshot.fork z image) in
-  let churned = min churn forks in
   for i = 0 to churned - 1 do
     Switch_bench.run_slice fleet.(i)
   done;
@@ -148,15 +150,12 @@ let cow ?(forks = 16) ?(churn = 4) ?(domains = 128) ?(switches = 300) cm =
     Array.init churned (fun i -> Lz_snap.Snapshot.dirty_pages fleet.(i) image)
   in
   let dirty_mean =
-    if churned = 0 then 0.
-    else
-      float_of_int (Array.fold_left ( + ) 0 dirty) /. float_of_int churned
+    float_of_int (Array.fold_left ( + ) 0 dirty) /. float_of_int churned
   in
   (* Shared/private split read from a churned fork's view — that is
      where private (unshared) frames accumulate; the source stayed
      read-only. *)
-  let observer = if churned > 0 then fleet.(0) else z in
-  let st = Lz_mem.Phys.stats observer.Lightzone.Kmod.machine.Machine.phys in
+  let st = Lz_mem.Phys.stats fleet.(0).Lightzone.Kmod.machine.Machine.phys in
   Lz_snap.Snapshot.release z image;
   { forks;
     churned;

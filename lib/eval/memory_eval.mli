@@ -19,18 +19,6 @@ type report = {
   paper_ttbr_pct : float;
 }
 
-val nginx : Lz_cpu.Cost_model.t -> report
-(** Per-key 4 KiB domains (paper: 21.7 MiB baseline, 1.6% frag,
-    1.2% PAN tables, up to 22.2% TTBR tables). *)
-
-val mysql : Lz_cpu.Cost_model.t -> report
-(** Per-connection stacks + HP_PTRS heap (paper: 512.9 MiB baseline,
-    0.2% PAN, 9.8% TTBR). *)
-
-val nvm : Lz_cpu.Cost_model.t -> report
-(** 2 MiB huge-page buffers (paper: 309 MiB baseline, ~0% PAN,
-    12.1% TTBR). *)
-
 val all : Lz_cpu.Cost_model.t -> report list
 
 (** {1 Copy-on-write frame-store accounting}
@@ -56,13 +44,11 @@ type cow_report = {
           frames each physical slot carries. *)
 }
 
-val cow :
-  ?forks:int -> ?churn:int -> ?domains:int -> ?switches:int ->
-  Lz_cpu.Cost_model.t -> cow_report
-(** Defaults: 16 forks off a warm 128-domain image, 4 churned with
-    300-switch slices (128 domains exceed the gate budget, so switch
-    slices take the writing syscall path and actually dirty pages).
-    The shared/private split is read from a churned fork's view. Host
+val cow : Lz_cpu.Cost_model.t -> cow_report
+(** 16 forks off a warm 128-domain image, 4 churned with 300-switch
+    slices (128 domains exceed the gate budget, so switch slices take
+    the writing syscall path and actually dirty pages). The
+    shared/private split is read from a churned fork's view. Host
     environment only (forking is host-side machinery). *)
 
 val cow_saved_mib : cow_report -> float

@@ -14,8 +14,6 @@ let mech_name = function
 
 let cache : (string, Iso_profile.t) Hashtbl.t = Hashtbl.create 32
 
-let clear_cache () = Hashtbl.reset cache
-
 let key cm env mech =
   Printf.sprintf "%s/%s/%s" (Cost_model.name cm)
     (match env with Switch_bench.Host -> "host" | Switch_bench.Guest -> "guest")
@@ -119,16 +117,16 @@ let pmu_code_va = 0x400000
 let pmu_data_va = 0x500000
 let pmu_stack_va = 0x7F0000000000
 
-(* A zone issuing a representative syscall mix through the gate:
-   mostly retained numbers (getpid), a write() every 8th forcing the
-   host-context switch, then an mprotect tail toggling a data page's
-   permissions — each toggle is both a retention miss and a TLB
-   maintenance burst, so one run feeds both counters. *)
-let pmu_workload syscalls =
+(* A zone issuing a representative mix of 256 syscalls through the
+   gate: mostly retained numbers (getpid), a write() every 8th
+   forcing the host-context switch, then an mprotect tail toggling a
+   data page's permissions — each toggle is both a retention miss and
+   a TLB maintenance burst, so one run feeds both counters. *)
+let pmu_workload () =
   let open Lz_arm in
   let open Lightzone in
   let b = Builder.create ~base:pmu_code_va in
-  for i = 1 to syscalls do
+  for i = 1 to 256 do
     if i mod 8 = 0 then begin
       Builder.emit b
         [ Insn.Movz (8, Lz_kernel.Kernel.Nr.write, 0);
@@ -157,7 +155,7 @@ let pmu_workload syscalls =
   Builder.emit b [ Insn.Brk 0 ];
   b
 
-let pmu_counters ?(syscalls = 256) cm env =
+let pmu_counters cm env =
   let open Lz_kernel in
   let machine = Machine.create ~cost:cm () in
   let kernel, backend =
@@ -179,7 +177,7 @@ let pmu_counters ?(syscalls = 256) cm env =
       ~entry:pmu_code_va ~sp:pmu_stack_va kernel proc
   in
   let p = Core.attach_pmu t.Lightzone.Kmod.core in
-  Lightzone.Api.load_and_register t (pmu_workload syscalls) ~va:pmu_code_va;
+  Lightzone.Api.load_and_register t (pmu_workload ()) ~va:pmu_code_va;
   (match Lightzone.Api.run t with
   | Lightzone.Kmod.Exited _ -> ()
   | o ->

@@ -15,8 +15,6 @@ val profile :
   Lz_cpu.Cost_model.t -> Switch_bench.env -> mech ->
   Lz_workloads.Iso_profile.t
 
-val clear_cache : unit -> unit
-
 (** {1 PMU-derived counters}
 
     Measured (not modelled) §5.2.1 context-retention and TLB
@@ -40,4 +38,4 @@ val retention_rate : pmu_counters -> float
     (guest zones forward through the Lowvisor instead). *)
 
 val pmu_counters :
-  ?syscalls:int -> Lz_cpu.Cost_model.t -> Switch_bench.env -> pmu_counters
+  Lz_cpu.Cost_model.t -> Switch_bench.env -> pmu_counters

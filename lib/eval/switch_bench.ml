@@ -128,7 +128,7 @@ type lz_run = {
   preemptions : int;
 }
 
-let run_lz_full ?tracer ?preempt ?(pmu = false) cm ~env ~mech ~domains ~n =
+let run_lz_full ?tracer ?preempt cm ~env ~mech ~domains ~n =
   let machine = Machine.create ~cost:cm () in
   let kernel, backend =
     match env with
@@ -165,7 +165,6 @@ let run_lz_full ?tracer ?preempt ?(pmu = false) cm ~env ~mech ~domains ~n =
   | _ -> assert false);
   let b = build_program ~mech ~domains ~n in
   Api.load_and_register t b ~va:code_va;
-  if pmu then ignore (Core.attach_pmu t.Kmod.core);
   let preemptions = ref 0 in
   (match preempt with
   | None -> ()
@@ -282,8 +281,8 @@ let prepare ?preempt cm ~env ~domains ~n =
   rewind_slice r.t;
   r
 
-let run_slice ?(max_insns = 200_000_000) (t : Kmod.t) =
-  match Api.run ~max_insns t with
+let run_slice (t : Kmod.t) =
+  match Api.run ~max_insns:200_000_000 t with
   | Kmod.Exited _ -> rewind_slice t
   | o -> failwith (Format.asprintf "switch bench (slice): %a" Kmod.pp_outcome o)
 
@@ -300,8 +299,8 @@ type traced = {
   digest : string;
 }
 
-let traced_run ?capacity ?preempt cm ~env ~domains ~n =
-  let tr = Lz_trace.Trace.create ?capacity () in
+let traced_run ?preempt cm ~env ~domains ~n =
+  let tr = Lz_trace.Trace.create () in
   let r =
     run_lz_full ~tracer:tr ?preempt cm ~env ~mech:(Mech Lz_ttbr) ~domains ~n
   in

@@ -27,7 +27,7 @@ type traced = {
 }
 
 val traced_run :
-  ?capacity:int -> ?preempt:int ->
+  ?preempt:int ->
   Lz_cpu.Cost_model.t -> env:env -> domains:int -> n:int -> traced
 (** One instrumented TTBR-mechanism run: [n] random domain switches
     across [domains] gate-attached domains with the tracer attached,
@@ -56,13 +56,13 @@ type mech_or_base = Mech of mechanism | Base_access
 
 val run_lz_full :
   ?tracer:Lz_trace.Trace.t -> ?preempt:int ->
-  ?pmu:bool -> Lz_cpu.Cost_model.t -> env:env -> mech:mech_or_base ->
+  Lz_cpu.Cost_model.t -> env:env -> mech:mech_or_base ->
   domains:int -> n:int -> lz_run
 (** One complete Table 5 run under LightZone ([Mech Lz_pan],
     [Mech Lz_ttbr] or [Base_access]): [n] seeded random switches
     across [domains] domains, run to the exit [brk]. The machine is
-    returned as it stopped, for inspection. [?pmu] attaches a PMU
-    before the run; the other options are as for {!traced_run}. *)
+    returned as it stopped, for inspection. [?tracer] attaches a
+    tracer; [?preempt] is as for {!traced_run}. *)
 
 val prepare :
   ?preempt:int ->
@@ -74,7 +74,7 @@ val prepare :
     it again (or a snapshot-fork of it) executes one more identical
     slice. *)
 
-val run_slice : ?max_insns:int -> Lightzone.Kmod.t -> unit
+val run_slice : Lightzone.Kmod.t -> unit
 (** Run one slice on a prepared (or forked) machine and rewind it
     again. Fails if the slice does not run to completion. *)
 

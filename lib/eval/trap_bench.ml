@@ -161,22 +161,18 @@ let kvm_hypercall cm =
   in
   slope run 50 150
 
+(* Every run is deterministic, so a row with one value runs once. *)
 let table cm =
   let steady, fluct = lz_to_guest_kernel cm in
-  [ { label = "host user mode to host hypervisor mode";
-      lo = host_user_to_el2 cm; hi = host_user_to_el2 cm };
-    { label = "guest user mode to guest kernel mode";
-      lo = guest_user_to_el1 cm; hi = guest_user_to_el1 cm };
-    { label = "LightZone kernel mode to host hypervisor mode";
-      lo = lz_to_host_el2 cm; hi = lz_to_host_el2 cm };
+  let exact label v = { label; lo = v; hi = v } in
+  [ exact "host user mode to host hypervisor mode" (host_user_to_el2 cm);
+    exact "guest user mode to guest kernel mode" (guest_user_to_el1 cm);
+    exact "LightZone kernel mode to host hypervisor mode" (lz_to_host_el2 cm);
     { label = "LightZone kernel mode to guest kernel mode";
       lo = steady; hi = fluct };
-    { label = "KVM Virtualization Host Extensions hypercall";
-      lo = kvm_hypercall cm; hi = kvm_hypercall cm };
-    { label = "update HCR_EL2";
-      lo = cm.Cost_model.hcr_write; hi = cm.Cost_model.hcr_write };
-    { label = "update VTTBR_EL2";
-      lo = cm.Cost_model.vttbr_write; hi = cm.Cost_model.vttbr_write } ]
+    exact "KVM Virtualization Host Extensions hypercall" (kvm_hypercall cm);
+    exact "update HCR_EL2" cm.Cost_model.hcr_write;
+    exact "update VTTBR_EL2" cm.Cost_model.vttbr_write ]
 
 let paper =
   [ ("host user mode to host hypervisor mode", (3848, 3848), (299, 299));

@@ -33,7 +33,6 @@ type kind =
 
 val all_kinds : kind array
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 type t = {
   kind : kind;
@@ -49,9 +48,6 @@ val sys_word :
   ?rt:int -> unit -> int
 (** Assemble a system-space instruction word from its Table 3 fields —
     shared with the sanitizer boundary tests. *)
-
-val boundary_pool : int array
-(** The canonical sensitive encodings the generator mutates. *)
 
 val default_budget : int
 

@@ -60,13 +60,10 @@ type env = {
          its 4 MiB arena. *)
 }
 
-let create ?slice_n ~domains cm =
-  let slice_n =
-    match slice_n with Some n -> n | None -> max 64 (2 * domains)
-  in
+let create ~domains cm =
   Api.next_vmid := vmid_base;
   Api.reset_fork_vmids ();
-  let r = Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n in
+  let r = Sb.prepare cm ~env:Sb.Host ~domains ~n:(max 64 (2 * domains)) in
   { cm; domains; z = r.Sb.t; image = Snapshot.capture r.Sb.t;
     image_pages = Hashtbl.create 256; blank = lazy (Lz_mem.Phys.create ()) }
 

@@ -30,10 +30,10 @@ type env = {
           clone after its digest. *)
 }
 
-val create :
-  ?slice_n:int -> domains:int -> Lz_cpu.Cost_model.t -> env
+val create : domains:int -> Lz_cpu.Cost_model.t -> env
 (** Build the warm image (pinning the VMID allocator) and wrap it for
-    per-case forking. [slice_n] defaults to [max 64 (2 * domains)]. *)
+    per-case forking. The image is warmed by one slice of
+    [max 64 (2 * domains)] switches. *)
 
 val debug_cost_skew : (Fuzz_case.t -> int) option ref
 (** Meta-test fault injection: extra cycles charged to the superblock
@@ -54,9 +54,10 @@ type run = {
           smp-race. *)
   span_rows : string list;
       (** span names of the run's trace ({!Lz_trace.Span.of_trace}),
-          for the blocks run only: {!keys_of} reads no other run's,
-          and the others must match it on outcome, cycles and events,
-          which fix the rows. [[]] for the slow and per-insn runs. *)
+          for the blocks run only: the coverage keys read no other
+          run's, and the others must match it on outcome, cycles and
+          events, which fix the rows. [[]] for the slow and per-insn
+          runs. *)
   fp : Lz_cpu.Fastpath.stats;
 }
 
@@ -86,11 +87,7 @@ val core_state : Lz_cpu.Core.t -> string
     PSTATE, cycles, insns, TLB hits and misses), rendered by
     {!Lz_cpu.Differential.fields}. *)
 
-val keys_of : Fuzz_case.t -> run -> string list
 val signature : string list -> string
 (** Hex digest of a sorted key list — the corpus index key. *)
-
-val scrub : string -> string
-(** Collapse hex literals ("0x1a30" -> "0xN") for layout-stable keys. *)
 
 val pp_divergence : Format.formatter -> divergence -> unit

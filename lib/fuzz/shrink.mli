@@ -5,6 +5,3 @@
     failing case always shrinks to the same minimal reproducer. *)
 
 val minimize : still_fails:(Fuzz_case.t -> bool) -> Fuzz_case.t -> Fuzz_case.t
-
-val max_steps : int
-(** Bound on accepted shrink steps (each one strictly simplifies). *)

@@ -94,26 +94,12 @@ let hypercall_roundtrip t vm (core : Core.t) =
   Core.charge core core.Core.cost.Cost_model.dispatch;
   vcpu_load t vm core
 
-(* A physical interrupt forcing a guest exit (HCR_EL2.IMO): the host
-   fields it at the GIC — acknowledge, the guest kernel's tick hook,
-   quiesce-if-still-asserted, EOI. *)
-let handle_guest_irq t (k : Kernel.t) (core : Core.t) =
-  match Core.irq core with
-  | None -> ()
-  | Some iv ->
-      let c = t.machine.Machine.cost in
-      Core.charge core c.Cost_model.gic_ack;
-      let intid = Lz_irq.Irq.ack iv in
-      if intid <> Lz_irq.Gic.spurious then begin
-        (match k.Kernel.on_tick with Some f -> f core intid | None -> ());
-        Core.quiesce_irq core intid;
-        Lz_irq.Irq.eoi iv intid;
-        Core.charge core c.Cost_model.gic_eoi
-      end
-
-let run_guest_process ?(max_insns = 50_000_000) t vm (k : Kernel.t)
-    (p : Proc.t) (core : Core.t) =
-  let budget = ref max_insns in
+(* Guest user cores run with HCR_EL2 = VM only: neither IMO nor TGE
+   claims their IRQs, so a physical interrupt enters the guest kernel
+   at EL1 ([Trap_el1], serviced by [Kernel.service_trap]) and never
+   exits to EL2. *)
+let run_guest_process t vm (k : Kernel.t) (p : Proc.t) (core : Core.t) =
+  let budget = ref 50_000_000 in
   let rec loop () =
     if !budget <= 0 then Kernel.Limit_reached
     else begin
@@ -143,10 +129,6 @@ let run_guest_process ?(max_insns = 50_000_000) t vm (k : Kernel.t)
               Kernel.Segv
                 (Format.asprintf "fatal stage-2 %a" Core.pp_stop
                    (Core.Trap_el2 cls)))
-      | Core.Trap_el2 (Core.Ec_irq _) ->
-          handle_guest_irq t k core;
-          Core.eret_from_el2 core;
-          loop ()
       | Core.Trap_el2 (Core.Ec_hvc _) ->
           (* Conventional guest hypercall: full world switch. *)
           hypercall_roundtrip t vm core;

@@ -42,9 +42,9 @@ val hypercall_roundtrip : t -> Vm.t -> Lz_cpu.Core.t -> unit
 (** {1 Guest process driving} *)
 
 val run_guest_process :
-  ?max_insns:int ->
   t -> Vm.t -> Lz_kernel.Kernel.t -> Lz_kernel.Proc.t -> Lz_cpu.Core.t ->
   Lz_kernel.Kernel.outcome
 (** Like {!Lz_kernel.Kernel.run} but for a process inside a VM:
-    stage-2 faults are serviced by the hypervisor, everything else by
-    the guest kernel at EL1. *)
+    stage-2 faults and hypercalls are serviced by the hypervisor,
+    everything else — interrupts included — by the guest kernel at
+    EL1. *)

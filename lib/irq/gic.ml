@@ -1,10 +1,13 @@
 (* GICv3-shaped interrupt controller model.
 
-   One [dist] (distributor) holds shared SPI state; each core attaches
-   a [cpu] (redistributor + CPU interface) holding banked SGI/PPI state
-   and the ICC_* interface state.  Everything is plain latched state —
-   the model never charges cycles itself, so attaching a GIC does not
-   perturb the core's timing until an interrupt is actually taken.
+   One [dist] (distributor) holds the group enable and the SGI staging
+   switch shared by its cores; each core attaches a [cpu]
+   (redistributor + CPU interface) holding banked SGI/PPI state and
+   the ICC_* interface state. No shared peripheral (SPI, INTID >= 32)
+   is modelled: nothing in the machine raises one.  Everything is
+   plain latched state — the model never charges cycles itself, so
+   attaching a GIC does not perturb the core's timing until an
+   interrupt is actually taken.
 
    Interrupt life cycle (per INTID): inactive -> pending (edge latch or
    level input) -> active (on ICC_IAR1 acknowledge) -> inactive (on
@@ -12,9 +15,8 @@
    level-sensitive input that is still asserted at EOI immediately
    re-pends, exactly like the generic timer's output line. *)
 
-(* INTID ranges. *)
-let nr_local = 32 (* SGIs 0..15 and PPIs 16..31 are banked per core *)
-let spi_base = 32
+(* SGIs 0..15 and PPIs 16..31, banked per core: the only INTIDs. *)
+let nr_local = 32
 let spurious = 1023
 
 (* PPI assignments (matching common SoC usage). *)
@@ -24,12 +26,6 @@ let ppi_el1_timer = 30 (* EL1 physical generic timer *)
 let idle_priority = 0xFF
 
 type dist = {
-  nr_spis : int;
-  spi_enabled : bool array;
-  spi_pending : bool array;
-  spi_active : bool array;
-  spi_prio : int array;
-  spi_target : int array; (* attached-cpu index *)
   mutable grp_en : bool; (* GICD_CTLR.EnableGrp1 *)
   mutable cpus : cpu list; (* attach order; index = cpu id *)
   (* SMP sync-quantum mode: cross-core SGIs latch into the target's
@@ -58,18 +54,7 @@ and cpu = {
   mutable ack_stack : (int * int) list;
 }
 
-let create_dist ?(nr_spis = 32) () =
-  {
-    nr_spis;
-    spi_enabled = Array.make nr_spis false;
-    spi_pending = Array.make nr_spis false;
-    spi_active = Array.make nr_spis false;
-    spi_prio = Array.make nr_spis idle_priority;
-    spi_target = Array.make nr_spis 0;
-    grp_en = true;
-    cpus = [];
-    staging = false;
-  }
+let create_dist () = { grp_en = true; cpus = []; staging = false }
 
 let attach_cpu dist =
   let cpu =
@@ -97,49 +82,27 @@ let cpu_id t = t.id
 
 let is_local intid = intid >= 0 && intid < nr_local
 
-let check_spi dist intid =
-  if intid < spi_base || intid >= spi_base + dist.nr_spis then
-    invalid_arg (Printf.sprintf "Gic: SPI INTID %d out of range" intid)
+let check_local intid =
+  if not (is_local intid) then
+    invalid_arg (Printf.sprintf "Gic: INTID %d is not an SGI or PPI" intid)
 
 (* Distributor-side configuration (host view of the GICD registers). *)
 
 let set_group_enable dist on = dist.grp_en <- on
 
-let spi_route dist ~intid ~cpu =
-  check_spi dist intid;
-  dist.spi_target.(intid - spi_base) <- cpu
-
-let set_pending_spi dist intid =
-  check_spi dist intid;
-  dist.spi_pending.(intid - spi_base) <- true
-
 (* Per-core configuration and inputs. *)
 
 let enable t intid =
-  if is_local intid then t.enabled.(intid) <- true
-  else begin
-    check_spi t.dist intid;
-    t.dist.spi_enabled.(intid - spi_base) <- true
-  end
-
-let disable t intid =
-  if is_local intid then t.enabled.(intid) <- false
-  else begin
-    check_spi t.dist intid;
-    t.dist.spi_enabled.(intid - spi_base) <- false
-  end
+  check_local intid;
+  t.enabled.(intid) <- true
 
 let set_priority t intid p =
-  let p = p land 0xFF in
-  if is_local intid then t.prio.(intid) <- p
-  else begin
-    check_spi t.dist intid;
-    t.dist.spi_prio.(intid - spi_base) <- p
-  end
+  check_local intid;
+  t.prio.(intid) <- p land 0xFF
 
 let set_pending t intid =
-  if is_local intid then t.pending.(intid) <- true
-  else set_pending_spi t.dist intid
+  check_local intid;
+  t.pending.(intid) <- true
 
 let set_level t intid on =
   if not (is_local intid) then
@@ -169,14 +132,6 @@ let best_candidate t =
   for i = 0 to nr_local - 1 do
     if t.enabled.(i) && (t.pending.(i) || t.level.(i)) && not t.active.(i)
     then consider i t.prio.(i)
-  done;
-  let d = t.dist in
-  for i = 0 to d.nr_spis - 1 do
-    if
-      d.spi_enabled.(i) && d.spi_pending.(i)
-      && (not d.spi_active.(i))
-      && d.spi_target.(i) = t.id
-    then consider (spi_base + i) d.spi_prio.(i)
   done;
   !best
 
@@ -211,28 +166,16 @@ let acknowledge t =
   match signaled t with
   | None -> spurious
   | Some intid ->
-      let prio =
-        if is_local intid then begin
-          t.pending.(intid) <- false;
-          t.active.(intid) <- true;
-          t.prio.(intid)
-        end
-        else begin
-          let i = intid - spi_base in
-          t.dist.spi_pending.(i) <- false;
-          t.dist.spi_active.(i) <- true;
-          t.dist.spi_prio.(i)
-        end
-      in
-      t.ack_stack <- (intid, prio) :: t.ack_stack;
+      t.pending.(intid) <- false;
+      t.active.(intid) <- true;
+      t.ack_stack <- (intid, t.prio.(intid)) :: t.ack_stack;
       intid
 
 (* ICC_EOIR1_EL1 write: retire an acknowledged interrupt, dropping the
-   running priority back to the interrupted context's. *)
+   running priority back to the interrupted context's. An INTID that
+   is no SGI or PPI was never acknowledged and retires nothing. *)
 let eoi t intid =
-  if is_local intid then t.active.(intid) <- false
-  else if intid >= spi_base && intid < spi_base + t.dist.nr_spis then
-    t.dist.spi_active.(intid - spi_base) <- false;
+  if is_local intid then t.active.(intid) <- false;
   let rec drop = function
     | [] -> []
     | (i, _) :: rest when i = intid -> rest
@@ -305,13 +248,12 @@ let read_hppir1 t =
   match signaled t with None -> spurious | Some intid -> intid
 
 (* Whole-interface capture for machine snapshots: one CPU interface's
-   banked SGI/PPI state plus its distributor's SPI state. Everything
-   in the model is latched, so copies are exact. Restoring the
-   distributor portion assumes the snapshotted machine owns it (one
-   core per machine in this simulator); other interfaces attached to
-   the same distributor would see their SPI state rewound too. *)
+   banked SGI/PPI state plus its distributor's group enable.
+   Everything in the model is latched, so copies are exact. Restoring
+   the distributor portion assumes the snapshotted machine owns it
+   (one core per machine in this simulator). *)
 
-type banked_state = {
+type state = {
   s_enabled : bool array;
   s_pending : bool array;
   s_level : bool array;
@@ -322,22 +264,12 @@ type banked_state = {
   s_igrpen1 : bool;
   s_bpr1 : int;
   s_ack_stack : (int * int) list;
-}
-
-type dist_state = {
-  s_spi_enabled : bool array;
-  s_spi_pending : bool array;
-  s_spi_active : bool array;
-  s_spi_prio : int array;
-  s_spi_target : int array;
   s_grp_en : bool;
 }
 
-type state = { s_banked : banked_state; s_dist : dist_state }
-
 let blit_state src dst = Array.blit src 0 dst 0 (Array.length dst)
 
-let capture_banked t =
+let capture t =
   { s_enabled = Array.copy t.enabled;
     s_pending = Array.copy t.pending;
     s_level = Array.copy t.level;
@@ -347,9 +279,10 @@ let capture_banked t =
     s_pmr = t.pmr;
     s_igrpen1 = t.igrpen1;
     s_bpr1 = t.bpr1;
-    s_ack_stack = t.ack_stack }
+    s_ack_stack = t.ack_stack;
+    s_grp_en = t.dist.grp_en }
 
-let restore_banked t s =
+let restore t s =
   blit_state s.s_enabled t.enabled;
   blit_state s.s_pending t.pending;
   blit_state s.s_level t.level;
@@ -359,35 +292,5 @@ let restore_banked t s =
   t.pmr <- s.s_pmr;
   t.igrpen1 <- s.s_igrpen1;
   t.bpr1 <- s.s_bpr1;
-  t.ack_stack <- s.s_ack_stack
-
-let capture_dist d =
-  { s_spi_enabled = Array.copy d.spi_enabled;
-    s_spi_pending = Array.copy d.spi_pending;
-    s_spi_active = Array.copy d.spi_active;
-    s_spi_prio = Array.copy d.spi_prio;
-    s_spi_target = Array.copy d.spi_target;
-    s_grp_en = d.grp_en }
-
-let restore_dist d s =
-  blit_state s.s_spi_enabled d.spi_enabled;
-  blit_state s.s_spi_pending d.spi_pending;
-  blit_state s.s_spi_active d.spi_active;
-  blit_state s.s_spi_prio d.spi_prio;
-  blit_state s.s_spi_target d.spi_target;
-  d.grp_en <- s.s_grp_en
-
-let capture t =
-  { s_banked = capture_banked t; s_dist = capture_dist t.dist }
-
-let restore t s =
-  restore_banked t s.s_banked;
-  restore_dist t.dist s.s_dist
-
-let pp_intid ppf intid =
-  if intid = spurious then Format.pp_print_string ppf "spurious"
-  else if intid = ppi_el1_timer then Format.pp_print_string ppf "timer"
-  else if intid = ppi_pmu then Format.pp_print_string ppf "pmu"
-  else if intid < 16 then Format.fprintf ppf "sgi%d" intid
-  else if intid < nr_local then Format.fprintf ppf "ppi%d" intid
-  else Format.fprintf ppf "spi%d" intid
+  t.ack_stack <- s.s_ack_stack;
+  t.dist.grp_en <- s.s_grp_en

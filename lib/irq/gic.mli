@@ -1,10 +1,13 @@
 (** GICv3-shaped interrupt controller model.
 
-    A shared {!dist} (distributor) owns SPI state; each simulated core
-    attaches a {!cpu} (redistributor + CPU interface) owning banked
-    SGI/PPI state and the ICC_* interface state. The model is pure
-    latched state and never charges cycles, so attaching a GIC does not
-    perturb core timing until an interrupt is actually taken.
+    A shared {!dist} (distributor) owns the group enable and the SGI
+    staging switch; each simulated core attaches a {!cpu}
+    (redistributor + CPU interface) owning banked SGI/PPI state and the
+    ICC_* interface state. Only SGIs (INTIDs 0..15) and PPIs (16..31)
+    exist: host calls with any other INTID raise [Invalid_argument].
+    The model is pure latched state and never charges cycles, so
+    attaching a GIC does not perturb core timing until an interrupt is
+    actually taken.
 
     Life cycle per INTID: inactive -> pending (edge latch or level
     input) -> active (on {!acknowledge}) -> inactive (on {!eoi}).
@@ -12,17 +15,10 @@
     at EOI re-pends immediately. *)
 
 type dist
-(** Distributor: shared SPI latches, priorities, routing, group
-    enable. *)
+(** Distributor: the group enable and the cores attached to it. *)
 
 type cpu
 (** Per-core redistributor + CPU interface. *)
-
-val nr_local : int
-(** 32: SGIs are INTIDs 0..15, PPIs 16..31, both banked per core. *)
-
-val spi_base : int
-(** 32: first shared peripheral INTID. *)
 
 val spurious : int
 (** 1023, returned by {!acknowledge} when nothing is signaled. *)
@@ -37,11 +33,11 @@ val idle_priority : int
 (** 0xFF, the lowest priority; the running priority when no interrupt
     is active. *)
 
-val create_dist : ?nr_spis:int -> unit -> dist
+val create_dist : unit -> dist
 val cpu_dist : cpu -> dist
 val attach_cpu : dist -> cpu
 (** Attach a new core's redistributor; cores are numbered in attach
-    order (SPI routing targets these ids). *)
+    order (SGI target lists address these ids). *)
 
 val cpu_id : cpu -> int
 (** The interface's attach-order id — the bit position a
@@ -50,17 +46,13 @@ val cpu_id : cpu -> int
 (** {1 Distributor configuration (host view of the GICD registers)} *)
 
 val set_group_enable : dist -> bool -> unit
-val spi_route : dist -> intid:int -> cpu:int -> unit
-val set_pending_spi : dist -> int -> unit
 
 (** {1 Per-core configuration and inputs} *)
 
 val enable : cpu -> int -> unit
-val disable : cpu -> int -> unit
 val set_priority : cpu -> int -> int -> unit
 val set_pending : cpu -> int -> unit
-(** Edge-latch an interrupt pending (SGI/PPI on this core, or an SPI
-    through the distributor). *)
+(** Edge-latch an SGI or PPI pending on this core. *)
 
 val set_level : cpu -> int -> bool -> unit
 (** Drive a level-sensitive local input (e.g. the timer or PMU PPI).
@@ -95,7 +87,8 @@ val acknowledge : cpu -> int
     {!spurious} when nothing is signaled. *)
 
 val eoi : cpu -> int -> unit
-(** ICC_EOIR1_EL1 write: retire an acknowledged INTID. *)
+(** ICC_EOIR1_EL1 write: retire an acknowledged INTID. Any other INTID
+    retires nothing. *)
 
 val running_priority : cpu -> int
 
@@ -136,25 +129,9 @@ val read_hppir1 : cpu -> int
 
 (** {1 Snapshot} *)
 
-type banked_state
-(** One CPU interface's banked SGI/PPI + ICC state (including staged
-    SGI latches). *)
-
-type dist_state
-(** The shared distributor's SPI state. *)
-
 type state
-(** One CPU interface's banked state plus its distributor's SPI
-    state. *)
-
-val capture_banked : cpu -> banked_state
-val restore_banked : cpu -> banked_state -> unit
-(** Banked-only capture/restore: what an SMP machine snapshot stores
-    per core (the shared distributor is captured once via
-    {!capture_dist}). *)
-
-val capture_dist : dist -> dist_state
-val restore_dist : dist -> dist_state -> unit
+(** One CPU interface's banked SGI/PPI and ICC state (staged SGI
+    latches included) plus its distributor's group enable. *)
 
 val capture : cpu -> state
 
@@ -162,5 +139,3 @@ val restore : cpu -> state -> unit
 (** Restores the interface {e and} its distributor — meant for
     single-core machines where the snapshotted core owns the
     distributor. *)
-
-val pp_intid : Format.formatter -> int -> unit

@@ -12,7 +12,7 @@ type t = { gic : Gic.cpu; timer : Timer.t }
 val create : ?dist:Gic.dist -> unit -> t
 (** Attach a fresh redistributor to [dist] (fresh distributor when
     omitted) and a private timer. Cores sharing a distributor see each
-    other's SGIs and SPIs. *)
+    other's SGIs. *)
 
 val shared_dist : t -> Gic.dist
 

@@ -297,24 +297,12 @@ let do_syscall t (p : Proc.t) (core : Core.t) =
 (* Interrupts *)
 
 (* A physical interrupt claimed by this kernel (HCR_EL2.TGE routes the
-   host's IRQs to EL2; a guest kernel's arrive at its EL1 vector).
-   Acknowledge at the GIC CPU interface, run the tick hook — the
-   preemptive scheduler installs itself here — then EOI. Sources the
-   hook left asserted are quiesced so a level-triggered PPI cannot
-   re-deliver forever. *)
+   host's IRQs to EL2; a guest kernel's arrive at its EL1 vector): the
+   GIC service runs the tick hook, where the preemptive scheduler
+   installs itself. *)
 let service_irq t (core : Core.t) =
-  let c = t.machine.Machine.cost in
-  match Core.irq core with
-  | None -> ()
-  | Some iv ->
-      Core.charge core c.Cost_model.gic_ack;
-      let intid = Lz_irq.Irq.ack iv in
-      if intid <> Lz_irq.Gic.spurious then begin
-        (match t.on_tick with Some f -> f core intid | None -> ());
-        Core.quiesce_irq core intid;
-        Lz_irq.Irq.eoi iv intid;
-        Core.charge core c.Cost_model.gic_eoi
-      end
+  Core.service_irq core (fun intid ->
+      match t.on_tick with Some f -> f core intid | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Trap servicing and the run loop *)

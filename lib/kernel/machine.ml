@@ -4,10 +4,8 @@ type t = {
   cost : Lz_cpu.Cost_model.t;
 }
 
-let create ?(cost = Lz_cpu.Cost_model.cortex_a55) ?(mem_mib = 512)
-    ?(tlb_capacity = 120) () =
-  { phys = Lz_mem.Phys.create ~size_mib:mem_mib ();
-    tlb = Lz_mem.Tlb.create ~capacity:tlb_capacity ();
+let create ?(cost = Lz_cpu.Cost_model.cortex_a55) () =
+  { phys = Lz_mem.Phys.create (); tlb = Lz_mem.Tlb.create ~capacity:120 ();
     cost }
 
 let new_core ?route_el1_to_harness t el =

@@ -47,9 +47,3 @@ let mapped_pa t ~va =
   match Lz_mem.Stage1.walk t.machine.Machine.phys ~root:t.root ~va with
   | Ok w -> Some w.Lz_mem.Stage1.pa
   | Error _ -> None
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>pid %d (asid %d), %d vmas:@,%a@]" t.pid t.asid
-    (List.length t.vmas)
-    (Format.pp_print_list Vma.pp)
-    t.vmas

@@ -35,5 +35,3 @@ val remove_vma_range : t -> start:int -> len:int -> Vma.t list
 val mapped_pa : t -> va:int -> int option
 (** Physical address currently backing [va] in the Linux-managed
     table, if resident. *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,9 +27,6 @@
     identical to an unpreempted one apart from the interrupt entries
     themselves. *)
 
-val sgi_resched : int
-(** SGI INTID 0: the rescheduling IPI. *)
-
 type task = {
   tid : int;
   proc : Proc.t;

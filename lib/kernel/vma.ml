@@ -21,9 +21,3 @@ let end_ t = t.start + t.len
 let contains t addr = addr >= t.start && addr < end_ t
 
 let overlaps t ~start ~len = start < end_ t && t.start < start + len
-
-let pp ppf t =
-  Format.fprintf ppf "[0x%x-0x%x %c%c%c]" t.start (end_ t)
-    (if t.prot.r then 'r' else '-')
-    (if t.prot.w then 'w' else '-')
-    (if t.prot.x then 'x' else '-')

@@ -22,4 +22,3 @@ val make : start:int -> len:int -> prot -> t
 val end_ : t -> int
 val contains : t -> int -> bool
 val overlaps : t -> start:int -> len:int -> bool
-val pp : Format.formatter -> t -> unit

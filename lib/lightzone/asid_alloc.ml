@@ -22,7 +22,6 @@
    most recent rollover flush. *)
 
 type t = {
-  bits : int;
   space : int;  (* number of allocatable ASIDs: (1 lsl bits) - lo *)
   lo : int;  (* lowest allocatable ASID (0 is reserved for TTBR1) *)
   live : Bytes.t;  (* '\001' = currently held by a zone *)
@@ -40,7 +39,6 @@ let create ?(bits = 14) ~flush () =
   if bits < 2 || bits > 14 then invalid_arg "Asid_alloc.create: bits";
   let space = (1 lsl bits) - 1 in
   {
-    bits;
     space;
     lo = 1;
     live = Bytes.make space '\000';
@@ -54,9 +52,6 @@ let create ?(bits = 14) ~flush () =
     flush;
   }
 
-let bits t = t.bits
-let space t = 1 lsl t.bits
-let live_count t = t.live_count
 let generation t = t.generation
 let rollovers t = t.rollovers
 let recycled t = t.recycled

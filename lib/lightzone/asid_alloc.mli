@@ -25,9 +25,6 @@ val free : t -> int -> unit
 
 val is_live : t -> int -> bool
 
-val bits : t -> int
-val space : t -> int
-val live_count : t -> int
 val generation : t -> int
 
 val rollovers : t -> int

@@ -9,8 +9,6 @@ let create ~base = { base; rev_insns = []; count = 0; gates = [] }
 
 let here t = t.base + (4 * t.count)
 
-let label = here
-
 let emit t insns =
   List.iter
     (fun i ->

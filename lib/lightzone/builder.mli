@@ -28,9 +28,6 @@ val mov_imm64 : t -> int -> int -> unit
 (** [mov_imm64 b reg v]: movz/movk chain loading an arbitrary 48-bit
     value. *)
 
-val label : t -> int
-(** Synonym of {!here} for marking jump targets. *)
-
 val finish : t -> Lz_arm.Insn.t list * (int * int) list
 (** The program and the [(gate, entry)] registrations to pass to
     {!Api.register_entries}. *)

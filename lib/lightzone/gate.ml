@@ -77,15 +77,10 @@ let gate_code ~gate_id =
    Derived from the emitted instruction lists so they cannot drift. *)
 let phase2_off = 4 * List.length (phase1_insns ~gate_id:0)
 
-let ret_off =
-  phase2_off + (4 * List.length (phase2_insns ~gate_id:0)) + (4 * 4)
-
 let stub_insns_at _offset = [ Insn.Hvc hvc_exception ]
 
 let switch_site_code ~gate_id =
   mov_addr 17 (gate_va gate_id) @ [ Insn.Blr 17 ]
-
-let switch_site_len = 4
 
 let set_gate_entry phys ~gatetab_pa ~gate ~entry =
   if gate < 0 || gate >= max_gates then invalid_arg "Gate.set_gate_entry";

@@ -46,9 +46,6 @@ val phase2_off : int
 (** Byte offset from [gate_va g] of the first check-phase (②)
     instruction — where the tracer places its [Gate_check] marker. *)
 
-val ret_off : int
-(** Byte offset from [gate_va g] of the gate's [ret]. *)
-
 val stub_insns_at : int -> Lz_arm.Insn.t list
 (** Vector-stub instructions at the given vector offset (0x200 for
     current-EL, 0x400 for lower-EL entries): forward via [hvc #1]. *)
@@ -68,9 +65,6 @@ val switch_site_code : gate_id:int -> Lz_arm.Insn.t list
     materialize the gate address and [blr] to it — the link register
     becomes the legitimate entry, the first instruction after the
     site. Clobbers x17. *)
-
-val switch_site_len : int
-(** Length in instructions of {!switch_site_code} (entry offset). *)
 
 val mov_addr : int -> int -> Lz_arm.Insn.t list
 (** [mov_addr reg addr]: movz/movk sequence loading a 48-bit address

@@ -845,17 +845,8 @@ let handle_irq t =
   t.irq_traps <- t.irq_traps + 1;
   let c = cost t in
   Core.charge t.core c.Cost_model.gp_save;
-  (match Core.irq t.core with
-  | None -> ()
-  | Some iv ->
-      Core.charge t.core c.Cost_model.gic_ack;
-      let intid = Lz_irq.Irq.ack iv in
-      if intid <> Lz_irq.Gic.spurious then begin
-        (match t.on_irq with Some f -> f t.core intid | None -> ());
-        Core.quiesce_irq t.core intid;
-        Lz_irq.Irq.eoi iv intid;
-        Core.charge t.core c.Cost_model.gic_eoi
-      end);
+  Core.service_irq t.core (fun intid ->
+      match t.on_irq with Some f -> f t.core intid | None -> ());
   Core.charge t.core c.Cost_model.gp_restore
 
 (* ------------------------------------------------------------------ *)
@@ -901,9 +892,6 @@ let run ?(max_insns = 50_000_000) t =
                   (match t.on_quiescent with Some f -> f () | None -> ());
                   loop ())
           | Core.Trap_el2 cls -> (
-              if Sys.getenv_opt "LZ_DEBUG" <> None then
-                Format.eprintf "[lz] trap: %a (pc=0x%x)@." Core.pp_stop
-                  (Core.Trap_el2 cls) t.core.Core.pc;
               charge_prefix t;
               (match cls with
               | Core.Ec_hvc n when n = Gate.hvc_syscall ->

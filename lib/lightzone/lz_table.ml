@@ -94,14 +94,6 @@ let unmap t ~va =
   | Some a -> Phys.write64 t.phys a 0
   | None -> ()
 
-let set_attrs t ~va attrs =
-  match leaf_pte_addr t ~table_real:t.root_real ~level:0 ~va with
-  | Some a ->
-      let pte = Phys.read64 t.phys a in
-      Phys.write64 t.phys a (Pte.with_s1_attrs pte attrs);
-      true
-  | None -> false
-
 let mapped t ~va =
   leaf_pte_addr t ~table_real:t.root_real ~level:0 ~va <> None
 

@@ -39,7 +39,6 @@ val last_level_table_fake : t -> va:int -> int option
     at stage 2. Used by the pentest and fuzzing scenarios. *)
 
 val unmap : t -> va:int -> unit
-val set_attrs : t -> va:int -> Lz_mem.Pte.s1_attrs -> bool
 val mapped : t -> va:int -> bool
 val destroy : t -> unit
 (** Free table frames (stage-2 leaf targets are not owned). *)

@@ -8,10 +8,3 @@ let user = 8
 let pgt_all = -1
 
 let has flags f = flags land f <> 0
-
-let pp ppf t =
-  Format.fprintf ppf "%c%c%c%c"
-    (if has t read then 'r' else '-')
-    (if has t write then 'w' else '-')
-    (if has t exec then 'x' else '-')
-    (if has t user then 'u' else '-')

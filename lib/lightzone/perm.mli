@@ -15,4 +15,3 @@ val pgt_all : int
     (Listing 1 uses it for the PAN-protected key). *)
 
 val has : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -89,8 +89,3 @@ let scan_page mode phys ~pa =
         | Forbidden why -> Error (4 * i, w, why)
   in
   scan 0
-
-let pp_verdict ppf = function
-  | Allowed -> Format.pp_print_string ppf "allowed"
-  | Gate_only -> Format.pp_print_string ppf "gate-only"
-  | Forbidden why -> Format.fprintf ppf "forbidden (%s)" why

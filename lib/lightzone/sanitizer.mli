@@ -39,5 +39,3 @@ val scan_page :
   mode -> Lz_mem.Phys.t -> pa:int -> (unit, int * int * string) result
 (** Scan a 4 KiB frame; [Error (offset, word, why)] on the first
     sensitive instruction found. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

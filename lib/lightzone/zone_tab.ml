@@ -16,8 +16,8 @@ type 'a t = {
   mutable count : int;  (* live entries *)
 }
 
-let create ?(initial = 16) () =
-  { slots = Array.make (max 1 initial) None; free = []; next = 0; count = 0 }
+let create () =
+  { slots = Array.make 16 None; free = []; next = 0; count = 0 }
 
 let length t = t.count
 let high_water t = t.next
@@ -50,11 +50,6 @@ let set t id v =
   if id < 0 || id >= t.next then invalid_arg "Zone_tab.set: id";
   t.slots.(id) <- Some v
 
-let alloc t v =
-  let id = reserve t in
-  set t id v;
-  id
-
 let find_opt t id =
   if id < 0 || id >= t.next then None else t.slots.(id)
 
@@ -83,29 +78,6 @@ let fold f t acc =
   iteri (fun id v -> acc := f id v !acc) t;
   !acc
 
-let to_list t = List.rev (fold (fun id v acc -> (id, v) :: acc) t [])
-
-(* Rebuild from an (id, value) association — snapshot restore. The
-   free list is reconstituted so post-restore allocation reuses the
-   same ids the captured machine would have (ascending order keeps it
-   deterministic). *)
-let of_list ?(initial = 16) bindings =
-  let t = create ~initial () in
-  List.iter
-    (fun (id, _) -> if id >= t.next then t.next <- id + 1)
-    bindings;
-  grow t t.next;
-  List.iter
-    (fun (id, v) ->
-      if id < 0 then invalid_arg "Zone_tab.of_list: id";
-      t.slots.(id) <- Some v;
-      t.count <- t.count + 1)
-    bindings;
-  for id = t.next - 1 downto 0 do
-    if t.slots.(id) = None then t.free <- id :: t.free
-  done;
-  t
-
 (* Exact structural snapshot. The free list is LIFO allocation
    history, so capture/restore must preserve it verbatim: rebuilding
    it in ascending order would make a restored machine recycle ids in
@@ -127,7 +99,7 @@ let restore_exact t ~slots ~free ~next =
       t.count <- t.count + 1)
     slots
 
-let of_exact ?(initial = 16) ~slots ~free ~next () =
-  let t = create ~initial () in
+let of_exact ~slots ~free ~next () =
+  let t = create () in
   restore_exact t ~slots ~free ~next;
   t

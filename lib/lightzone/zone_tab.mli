@@ -5,14 +5,13 @@
 
 type 'a t
 
-val create : ?initial:int -> unit -> 'a t
+val create : unit -> 'a t
 
 val reserve : 'a t -> int
 (** Claim an id (recycled if available, else high-water). The slot
     reads as absent until {!set}. *)
 
 val set : 'a t -> int -> 'a -> unit
-val alloc : 'a t -> 'a -> int
 
 val find_opt : 'a t -> int -> 'a option
 val mem : 'a t -> int -> bool
@@ -32,14 +31,6 @@ val high_water : 'a t -> int
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
-val to_list : 'a t -> (int * 'a) list
-(** Live bindings in ascending id order. *)
-
-val of_list : ?initial:int -> (int * 'a) list -> 'a t
-(** Snapshot restore: rebuild slots, high-water and free list
-    (ascending). For byte-exact restore of allocation order use the
-    exact-capture API below instead. *)
-
 (** {1 Exact structural capture}
 
     The free list is LIFO allocation history; these preserve it
@@ -52,5 +43,5 @@ val free_ids : 'a t -> int list
 val restore_exact : 'a t -> slots:(int * 'a) list -> free:int list ->
   next:int -> unit
 
-val of_exact : ?initial:int -> slots:(int * 'a) list -> free:int list ->
-  next:int -> unit -> 'a t
+val of_exact : slots:(int * 'a) list -> free:int list -> next:int -> unit ->
+  'a t

@@ -87,7 +87,7 @@ type snapshot = {
 
 let mk_arena slots = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (slots * frame_words)
 
-let create ?(size_mib = 512) () =
+let create () =
   let store =
     { arena = mk_arena 1024;
       refs = Array.make 1024 0;
@@ -103,7 +103,7 @@ let create ?(size_mib = 512) () =
          as a "null" table pointer. *)
       next_frame = 1;
       free_list = [];
-      max_frames = size_mib * 256;
+      max_frames = 512 * 256;
       handed_out = 0;
       gens = Array.make 1024 0;
       views = [] }

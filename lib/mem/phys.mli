@@ -18,11 +18,10 @@ type t
 val page_size : int
 (** 4096. *)
 
-val create : ?size_mib:int -> unit -> t
-(** Fresh view over a fresh backing store. [size_mib] bounds the bump
-    allocator (default 512 MiB) — reads and writes beyond it still
-    succeed (the address space is sparse), only allocation is
-    bounded. *)
+val create : unit -> t
+(** Fresh view over a fresh backing store. The bump allocator hands
+    out 512 MiB — reads and writes beyond it still succeed (the
+    address space is sparse), only allocation is bounded. *)
 
 val alias : t -> t
 (** Another handle onto the {e same} physical memory: the store and

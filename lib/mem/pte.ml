@@ -67,14 +67,3 @@ let make_s2_page ~pa ~read ~write ~exec =
 let s2_read pte = Bits.bit pte 6
 let s2_write pte = Bits.bit pte 7
 let s2_exec pte = not (Bits.bit pte bit_uxn)
-
-let pp_s1 ppf pte =
-  if not (valid pte) then Format.pp_print_string ppf "<invalid>"
-  else
-    let a = s1_attrs pte in
-    Format.fprintf ppf "@[<h>pa=0x%x%s%s%s%s%s@]" (out_addr pte)
-      (if a.user then " user" else " kern")
-      (if a.read_only then " ro" else " rw")
-      (if a.uxn then " uxn" else "")
-      (if a.pxn then " pxn" else "")
-      (if a.ng then " ng" else " g")

@@ -42,5 +42,3 @@ val make_s2_page : pa:int -> read:bool -> write:bool -> exec:bool -> int
 val s2_read : int -> bool
 val s2_write : int -> bool
 val s2_exec : int -> bool
-
-val pp_s1 : Format.formatter -> int -> unit

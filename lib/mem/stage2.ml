@@ -55,14 +55,6 @@ let map_page phys ~root ~ipa ~pa { read; write; exec } =
   let pte_addr = descend phys ~table:root ~level:1 ~target_level:3 ~ipa in
   Phys.write64 phys pte_addr (Pte.make_s2_page ~pa ~read ~write ~exec)
 
-let map_block_2m phys ~root ~ipa ~pa { read; write; exec } =
-  if not (Lz_arm.Bits.is_aligned ipa (2 * 1024 * 1024)) then
-    invalid_arg "Stage2.map_block_2m: unaligned ipa";
-  let pte_addr = descend phys ~table:root ~level:1 ~target_level:2 ~ipa in
-  let pte = Pte.make_s2_page ~pa ~read ~write ~exec in
-  (* Rewrite the descriptor type bits from page (0b11) to block (0b01). *)
-  Phys.write64 phys pte_addr (pte land lnot 0b10 lor 0b01)
-
 let leaf_pte_addr phys ~root ~ipa =
   match walk phys ~root ~ipa with
   | Ok { pte_addr; _ } -> Some pte_addr
@@ -93,33 +85,3 @@ let map_identity_range phys ~root ~ipa ~len perms =
     let a = Lz_arm.Bits.align_down ipa 4096 + (i * 4096) in
     map_page phys ~root ~ipa:a ~pa:a perms
   done
-
-let rec iter_level phys ~table ~level ~ipa_base f =
-  for i = 0 to 511 do
-    let pte = Phys.read64 phys (table + (8 * i)) in
-    if Pte.valid pte then begin
-      let ipa = ipa_base lor (i lsl (39 - (9 * level))) in
-      if Pte.is_table ~level pte then
-        iter_level phys ~table:(Pte.out_addr pte) ~level:(level + 1)
-          ~ipa_base:ipa f
-      else f ~ipa ~pte ~level
-    end
-  done
-
-let iter_pages phys ~root f =
-  iter_level phys ~table:root ~level:1 ~ipa_base:0 f
-
-let rec tables_of phys ~table ~level acc =
-  let acc = ref (table :: acc) in
-  if level < 3 then
-    for i = 0 to 511 do
-      let pte = Phys.read64 phys (table + (8 * i)) in
-      if Pte.is_table ~level pte then
-        acc := tables_of phys ~table:(Pte.out_addr pte) ~level:(level + 1) !acc
-    done;
-  !acc
-
-let table_pages phys ~root = List.rev (tables_of phys ~table:root ~level:1 [])
-
-let destroy phys ~root =
-  List.iter (fun pa -> Phys.free_frame phys pa) (table_pages phys ~root)

@@ -21,8 +21,6 @@ val walk : Phys.t -> root:int -> ipa:int -> (walk_ok, walk_err) result
 
 val map_page : Phys.t -> root:int -> ipa:int -> pa:int -> perms -> unit
 
-val map_block_2m : Phys.t -> root:int -> ipa:int -> pa:int -> perms -> unit
-
 val unmap : Phys.t -> root:int -> ipa:int -> unit
 
 val set_perms : Phys.t -> root:int -> ipa:int -> perms -> bool
@@ -31,10 +29,3 @@ val map_identity_range :
   Phys.t -> root:int -> ipa:int -> len:int -> perms -> unit
 (** Identity-map [ipa, ipa+len) page by page (host kernel-mode
     processes use an identity stage 2, paper Section 5.1.2). *)
-
-val iter_pages :
-  Phys.t -> root:int -> (ipa:int -> pte:int -> level:int -> unit) -> unit
-
-val table_pages : Phys.t -> root:int -> int list
-
-val destroy : Phys.t -> root:int -> unit

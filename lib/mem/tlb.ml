@@ -366,10 +366,6 @@ let flush_va t ~vmid ~va =
 let hits t = t.hit_count
 let misses t = t.miss_count
 
-let reset_stats t =
-  t.hit_count <- 0;
-  t.miss_count <- 0
-
 let size t = Int_table.length t.index
 
 let fifo_length t = t.count

@@ -91,7 +91,6 @@ val flush_va : t -> vmid:int -> va:int -> unit
 
 val hits : t -> int
 val misses : t -> int
-val reset_stats : t -> unit
 val size : t -> int
 
 val fifo_length : t -> int

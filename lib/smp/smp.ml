@@ -77,20 +77,18 @@ type t = {
   mutable finished : bool;
 }
 
-let cores t = Array.length t.slots
-
-let create ?(cost = Cost_model.cortex_a55) ?(mem_mib = 512)
-    ?(tlb_capacity = 120) ?engine ?(quantum = 10_000) ~cores () =
+let create ?engine ?(quantum = 10_000) ~cores () =
+  let cost = Cost_model.cortex_a55 in
   if cores < 1 then invalid_arg "Smp.create: need at least one core";
   if quantum < 1 then invalid_arg "Smp.create: quantum must be positive";
-  let phys = Phys.create ~size_mib:mem_mib () in
+  let phys = Phys.create () in
   let dist = Lz_irq.Gic.create_dist () in
   (* Cross-core SGIs latch aside during quanta in both drive modes, so
      their visibility is barrier-aligned and mode-independent. *)
   Lz_irq.Gic.set_staging dist true;
   let mk i =
     let view = Phys.alias phys in
-    let tlb = Tlb.create ~capacity:tlb_capacity () in
+    let tlb = Tlb.create ~capacity:120 () in
     let core =
       Core.create ~route_el1_to_harness:true ?engine view tlb cost
         Pstate.EL0

@@ -24,9 +24,6 @@
     The initiator resumes when all acks are in — at most two barriers
     later. *)
 
-val sgi_shootdown : int
-(** SGI INTID 1: the TLB-shootdown IPI. *)
-
 type slot = {
   id : int;
   core : Lz_cpu.Core.t;
@@ -60,22 +57,19 @@ type t = {
 }
 
 val create :
-  ?cost:Lz_cpu.Cost_model.t ->
-  ?mem_mib:int ->
-  ?tlb_capacity:int ->
   ?engine:Lz_cpu.Core.engine ->
   ?quantum:int ->
   cores:int ->
   unit ->
   t
 (** Build the machine: shared memory and distributor, per-core alias
-    views, private TLBs, tracers and timers; SGIs 0–15 enabled on
-    every redistributor. With [cores = 1] no shootdown hook is
-    installed — IS TLBIs keep exact uniprocessor semantics. [?engine]
-    defaults to {!Lz_cpu.Core.default_engine}; [quantum] defaults to
-    10k cycles. *)
+    views, private 120-entry TLBs, tracers and timers under the Cortex
+    A55 cost model (the {!Lz_kernel.Machine.create} defaults); SGIs
+    0–15 enabled on every redistributor. With [cores = 1] no shootdown
+    hook is installed — IS TLBIs keep exact uniprocessor semantics.
+    [?engine] defaults to {!Lz_cpu.Core.default_engine}; [quantum]
+    defaults to 10k cycles. *)
 
-val cores : t -> int
 val slot : t -> int -> slot
 
 val slot_machine : t -> int -> Lz_kernel.Machine.t
@@ -109,11 +103,6 @@ val run :
     the sequential oracle; [parallel:true] spawns one host domain per
     extra core. Returns per-slot outcomes; a slot still running at the
     budget reports [Lz_kernel.Kernel.Limit_reached]. *)
-
-val digest : t -> int -> string
-(** Architectural digest of one core: registers, pc, SPs, PSTATE,
-    clocks, TTBR0, outcome, and an MD5 per mapped page of the
-    process's address space. *)
 
 val digests : t -> string array
 

@@ -147,7 +147,7 @@ type t = {
   z_fake : Fake_phys.state;
   z_shadow : Kmod.shadow_state;
   (* tracer position (ring contents are observability, not state) *)
-  s_trace : (int * int) option;  (* total, points_seen *)
+  s_trace : int option;  (* the tracer's [total] *)
 }
 
 let copy_vma (v : Vma.t) = { v with Vma.prot = v.Vma.prot }
@@ -185,7 +185,7 @@ let capture (z : Kmod.t) =
     z_shadow = Kmod.capture_shadow z;
     s_trace =
       (match Core.tracer z.Kmod.core with
-      | Some tr -> Some (Trace.total tr, Trace.points_seen tr)
+      | Some tr -> Some (Trace.total tr)
       | None -> None);
   }
 
@@ -377,7 +377,7 @@ module Replay = struct
 
   let take r =
     let snap = capture r.zone in
-    let at_total = match snap.s_trace with Some (t, _) -> t | None -> 0 in
+    let at_total = Option.value snap.s_trace ~default:0 in
     r.entries <- { at_total; snap } :: r.entries
 
   let record ~every zone =
@@ -426,13 +426,10 @@ module Replay = struct
         (* Park the present so we can come back to it. *)
         let now = capture zone in
         ignore (restore zone e.snap);
-        let total, points =
-          match e.snap.s_trace with Some tp -> tp | None -> (0, 0)
-        in
-        (* Fresh ring seeded with the capture-time sequence counter and
-           decimation phase: replayed events compare byte-identical
-           against the reference ring's suffix. *)
-        let clone = Trace.clone_config ~total ~points_seen:points tr in
+        (* Fresh ring seeded with the capture-time sequence counter:
+           replayed events compare byte-identical against the reference
+           ring's suffix. *)
+        let clone = Trace.clone_config ?total:e.snap.s_trace tr in
         Kmod.set_tracer zone (Some clone);
         let live = ref true in
         while !live && Trace.total clone <= index do

@@ -21,11 +21,10 @@
      and the enclosing trap inclusively).  For non-nesting names it
      equals the exclusive total.
 
-   All other payloads are point annotations counted per name, scaled
-   by the ring's decimation factor.  Every cycle between
-   [start_cycles] and [total_cycles] lands in exactly one exclusive
-   span (background time is "mainline"), so coverage degrades only
-   when the ring dropped events. *)
+   All other payloads are point annotations counted per name.  Every
+   cycle between [start_cycles] and [total_cycles] lands in exactly
+   one exclusive span (background time is "mainline"), so coverage
+   degrades only when the ring dropped events. *)
 
 type span = { name : string; start_cycles : int; stop_cycles : int }
 
@@ -79,8 +78,7 @@ type frame = {
   enter_cycles : int;
 }
 
-let analyze ?(start_cycles = 0) ?(decimate = 1) ~total_cycles ~dropped events
-    =
+let analyze ?(start_cycles = 0) ~total_cycles ~dropped events =
   let spans = ref [] in
   let points : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let inclusive : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -96,7 +94,7 @@ let analyze ?(start_cycles = 0) ?(decimate = 1) ~total_cycles ~dropped events
   in
   let point name =
     Hashtbl.replace points name
-      (decimate + Option.value ~default:0 (Hashtbl.find_opt points name))
+      (1 + Option.value ~default:0 (Hashtbl.find_opt points name))
   in
   let add_inclusive name c =
     Hashtbl.replace inclusive name
@@ -205,8 +203,8 @@ let analyze ?(start_cycles = 0) ?(decimate = 1) ~total_cycles ~dropped events
   }
 
 let of_trace ?start_cycles ~total_cycles tr =
-  analyze ?start_cycles ~decimate:(Trace.decimation tr) ~total_cycles
-    ~dropped:(Trace.dropped tr) (Trace.events tr)
+  analyze ?start_cycles ~total_cycles ~dropped:(Trace.dropped tr)
+    (Trace.events tr)
 
 let top_spans report k =
   List.sort

@@ -12,9 +12,8 @@
     unwind without leaving dangling frames.
 
     Point events (flushes, retention, faults, ...) are counted per
-    name and scaled by the tracer's decimation factor.  Coverage is
-    attributed cycles over the analysis window and is 1.0 unless the
-    ring dropped boundary events. *)
+    name.  Coverage is attributed cycles over the analysis window and
+    is 1.0 unless the ring dropped boundary events. *)
 
 type span = { name : string; start_cycles : int; stop_cycles : int }
 
@@ -31,7 +30,7 @@ type report = {
   spans : span list;  (** Individual exclusive spans in time order. *)
   rows : row list;  (** Aggregated per name, largest exclusive first. *)
   points : (string * int) list;
-      (** Point-event counts by name, decimation-corrected. *)
+      (** Point-event counts by name. *)
   total_cycles : int;
   attributed_cycles : int;
   coverage : float;
@@ -45,18 +44,12 @@ val ec_name : int -> string
 (** Short name for an ESR exception class ("svc", "brk", ...). *)
 
 val analyze :
-  ?start_cycles:int ->
-  ?decimate:int ->
-  total_cycles:int ->
-  dropped:int ->
-  Trace.event list ->
+  ?start_cycles:int -> total_cycles:int -> dropped:int -> Trace.event list ->
   report
-(** [decimate] (default 1) scales point-event counts back up when the
-    source ring sampled them 1-in-N. *)
 
 val of_trace : ?start_cycles:int -> total_cycles:int -> Trace.t -> report
-(** Analyzes the buffered events, taking [dropped] and the decimation
-    factor from the tracer itself. *)
+(** Analyzes the buffered events, taking [dropped] from the tracer
+    itself. *)
 
 val top_spans : report -> int -> span list
 (** The [k] longest individual spans. *)

@@ -42,11 +42,9 @@ type t = {
      more to allocate than the run that fills it. *)
   mutable ring : event array;
   capacity : int;
-  decimate : int;
   mutable len : int;
   mutable total : int;
   mutable dropped : int;
-  mutable points_seen : int;
   mutable clock : unit -> int;
   markers : (int, payload) Hashtbl.t;
   (* Live marker count per 4 KiB VA page, so a block dispatcher can
@@ -57,17 +55,14 @@ type t = {
 
 let default_capacity = 1 lsl 16
 
-let create ?(capacity = default_capacity) ?(decimate = 1) () =
+let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  if decimate <= 0 then invalid_arg "Trace.create: decimate must be positive";
   {
     ring = [||];
     capacity;
-    decimate;
     len = 0;
     total = 0;
     dropped = 0;
-    points_seen = 0;
     clock = (fun () -> 0);
     markers = Hashtbl.create 64;
     marker_pages = Hashtbl.create 16;
@@ -75,37 +70,21 @@ let create ?(capacity = default_capacity) ?(decimate = 1) () =
 
 let set_clock t f = t.clock <- f
 
-let decimation t = t.decimate
-
-let points_seen t = t.points_seen
-
 (* A fresh, empty tracer with [t]'s configuration and marker table —
    the replay harness attaches one to a restored machine so the
-   re-execution emits into its own ring. Seeding [total] and
-   [points_seen] with the original's capture-time values makes
-   replayed sequence numbers and the decimation phase continue exactly
-   where the snapshot was taken, so replayed events compare
-   byte-identical against the reference ring's suffix. *)
-let clone_config ?total ?points_seen t =
+   re-execution emits into its own ring. Seeding [total] with the
+   original's capture-time value makes replayed sequence numbers
+   continue exactly where the snapshot was taken, so replayed events
+   compare byte-identical against the reference ring's suffix. *)
+let clone_config ?total t =
   { ring = [||];
     capacity = t.capacity;
-    decimate = t.decimate;
     len = 0;
     total = (match total with Some n -> n | None -> 0);
     dropped = 0;
-    points_seen = (match points_seen with Some n -> n | None -> 0);
     clock = (fun () -> 0);
     markers = Hashtbl.copy t.markers;
     marker_pages = Hashtbl.copy t.marker_pages }
-
-(* Span boundaries must never be decimated — dropping one would merge
-   two spans and skew every cycle attribution after it.  Only point
-   events (flushes, faults, retention, ...) are sampled 1-in-N. *)
-let is_boundary = function
-  | Trap_enter _ | Trap_exit _ | Gate_entry _ | Gate_check _ | Gate_exit _
-  | Irq_enter _ ->
-      true
-  | _ -> false
 
 (* [e] fills the new slots; only the first [t.len] are ever read. *)
 let grow t e =
@@ -114,21 +93,13 @@ let grow t e =
   t.ring <- ring
 
 let emit t ~cycles payload =
-  let keep =
-    t.decimate = 1 || is_boundary payload
-    ||
-    (let k = t.points_seen mod t.decimate = 0 in
-     t.points_seen <- t.points_seen + 1;
-     k)
-  in
-  if keep then
-    if t.len < t.capacity then begin
-      let e = { seq = t.total; cycles; payload } in
-      if t.len = Array.length t.ring then grow t e;
-      t.ring.(t.len) <- e;
-      t.len <- t.len + 1
-    end
-    else t.dropped <- t.dropped + 1;
+  if t.len < t.capacity then begin
+    let e = { seq = t.total; cycles; payload } in
+    if t.len = Array.length t.ring then grow t e;
+    t.ring.(t.len) <- e;
+    t.len <- t.len + 1
+  end
+  else t.dropped <- t.dropped + 1;
   t.total <- t.total + 1
 
 let emit_now t payload = emit t ~cycles:(t.clock ()) payload
@@ -143,7 +114,6 @@ let events t =
 let len t = t.len
 let total t = t.total
 let dropped t = t.dropped
-let capacity t = t.capacity
 
 let clear t =
   t.ring <- [||];
@@ -169,16 +139,6 @@ let add_marker t ~pc payload =
     Hashtbl.replace t.marker_pages pg (n + 1)
   end;
   Hashtbl.replace t.markers pc payload
-
-let remove_marker t ~pc =
-  if Hashtbl.mem t.markers pc then begin
-    let pg = marker_page pc in
-    (match Hashtbl.find_opt t.marker_pages pg with
-    | Some n when n > 1 -> Hashtbl.replace t.marker_pages pg (n - 1)
-    | Some _ -> Hashtbl.remove t.marker_pages pg
-    | None -> ());
-    Hashtbl.remove t.markers pc
-  end
 
 let marker_at t pc = Hashtbl.find_opt t.markers pc
 let page_marked t pc = Hashtbl.mem t.marker_pages (marker_page pc)
@@ -246,7 +206,3 @@ let export_jsonl t oc =
       output_string oc (event_to_json e);
       output_char oc '\n')
     (events t)
-
-let pp_event ppf e =
-  Fmt.pf ppf "@[#%d @@%d %s%s@]" e.seq e.cycles (payload_name e.payload)
-    (payload_fields_json e.payload)

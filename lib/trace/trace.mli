@@ -38,34 +38,17 @@ type event = { seq : int; cycles : int; payload : payload }
 
 type t
 
-val default_capacity : int
-
-val create : ?capacity:int -> ?decimate:int -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [create ()] makes an empty tracer. [capacity] bounds the ring
-    (default {!default_capacity}); further events are dropped and
-    counted. [decimate] (default 1 = keep everything) stores only one
-    point event in [decimate] — span boundaries (trap and gate events)
-    are always kept so cycle attribution stays exact on
-    multi-billion-cycle runs, while sampled point counts are scaled
-    back up by {!Span.analyze}. Raises [Invalid_argument] if
-    [capacity <= 0] or [decimate <= 0]. *)
+    (default 65,536 events); further events are dropped and counted.
+    Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val decimation : t -> int
-(** The 1-in-N point-event sampling factor this tracer was created
-    with. *)
-
-val points_seen : t -> int
-(** Point events considered by the decimator so far (the decimation
-    phase). Captured by machine snapshots so a replayed tracer can
-    continue the sampling pattern exactly. *)
-
-val clone_config : ?total:int -> ?points_seen:int -> t -> t
-(** A fresh, empty tracer with the same capacity, decimation and
-    registered markers. [total] and [points_seen] (default 0) seed the
-    sequence counter and decimation phase — pass the values captured
-    at snapshot time and a deterministic re-execution emits events
-    byte-identical to the original ring's suffix. The clock is not
-    copied; attach the clone to a core to install one. *)
+val clone_config : ?total:int -> t -> t
+(** A fresh, empty tracer with the same capacity and registered
+    markers. [total] (default 0) seeds the sequence counter — pass the
+    value captured at snapshot time and a deterministic re-execution
+    emits events byte-identical to the original ring's suffix. The
+    clock is not copied; attach the clone to a core to install one. *)
 
 val set_clock : t -> (unit -> int) -> unit
 (** Clock used by {!emit_now} for emitters that do not carry a cycle
@@ -83,14 +66,12 @@ val total : t -> int
 (** Events ever emitted, including dropped ones. *)
 
 val dropped : t -> int
-val capacity : t -> int
 val clear : t -> unit
 
 val add_marker : t -> pc:int -> payload -> unit
 (** Register a PC marker: when an attached core is about to execute
     the instruction at [pc], it emits the payload. *)
 
-val remove_marker : t -> pc:int -> unit
 val marker_at : t -> int -> payload option
 
 val page_marked : t -> int -> bool
@@ -100,8 +81,6 @@ val page_marked : t -> int -> bool
     proves no in-block instruction can have a marker and the whole
     block may run without per-instruction marker checks. *)
 
-val scope_name : flush_scope -> string
 val payload_name : payload -> string
 val event_to_json : event -> string
 val export_jsonl : t -> out_channel -> unit
-val pp_event : Format.formatter -> event -> unit

@@ -46,7 +46,4 @@ type result = {
                               engine really executed. *)
 }
 
-val base_txn_cycles : Lz_cpu.Cost_model.t -> params -> float
-val tlb_misses_per_txn : float
-
 val run : Lz_cpu.Cost_model.t -> iso:Iso_profile.t -> params -> result

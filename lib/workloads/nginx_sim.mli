@@ -36,14 +36,6 @@ val cpu_hz : Lz_cpu.Cost_model.t -> float
 (** Simulated clock: 2.2 GHz Carmel, 2.0 GHz Cortex A55 (the paper's
     SoCs). *)
 
-val base_request_cycles : Lz_cpu.Cost_model.t -> params -> float
-(** Per-request work excluding isolation: parsing + TLS record
-    framing + AES blocks + one syscall at the vanilla cost. *)
-
-val tlb_misses_per_request : float
-(** Calibrated d-TLB miss count per request (locality is good; the
-    working set is the key, the file buffer and connection state). *)
-
 val run :
   Lz_cpu.Cost_model.t -> iso:Iso_profile.t -> params -> result
 (** Serve [params.requests] requests under the given isolation

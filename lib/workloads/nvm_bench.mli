@@ -26,7 +26,4 @@ type result = {
   hits : int;                 (** real substring matches found. *)
 }
 
-val search_cycles : Lz_cpu.Cost_model.t -> float
-(** Calibrated per-search work (paper: 7,000-8,500 cycles). *)
-
 val run : Lz_cpu.Cost_model.t -> iso:Iso_profile.t -> params -> result

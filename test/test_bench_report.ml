@@ -5,7 +5,7 @@ open Report
 (* The committed reports, declared as this test's dependencies. *)
 let committed =
   [ "BENCH_throughput.json"; "BENCH_scale.json"; "BENCH_fleet.json";
-    "BENCH_smp.json"; "BENCH_fuzz.smoke.json" ]
+    "BENCH_smp.json"; "BENCH_fuzz.smoke.json"; "BENCH_scale.smoke.json" ]
 
 let round_trip file () =
   let text =

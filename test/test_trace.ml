@@ -364,25 +364,6 @@ let test_exclusive_inclusive () =
   check_bool "full coverage" true (rep.Span.coverage >= 0.999)
 
 (* ------------------------------------------------------------------ *)
-(* Decimation keeps boundaries, samples points, and scales counts *)
-
-let test_decimation () =
-  let tr = Trace.create ~decimate:4 () in
-  Trace.emit tr ~cycles:10 (Trace.Gate_entry { gate = 0 });
-  for i = 0 to 99 do
-    Trace.emit tr ~cycles:(20 + i) (Trace.Syscall { nr = i })
-  done;
-  Trace.emit tr ~cycles:200 (Trace.Gate_exit { gate = 0 });
-  check_int "boundaries kept, 1-in-4 points kept" 27 (Trace.len tr);
-  check_int "nothing counted as dropped" 0 (Trace.dropped tr);
-  check_int "total still counts every emission" 102 (Trace.total tr);
-  let rep = Span.of_trace ~total_cycles:300 tr in
-  check_int "point counts scaled back up" 100
-    (try List.assoc "syscall" rep.Span.points with Not_found -> 0);
-  check_bool "span coverage unaffected by decimation" true
-    (rep.Span.coverage >= 0.999)
-
-(* ------------------------------------------------------------------ *)
 (* Span attribution of forwarded traps (regression).
 
    A stage-1 fault in a LightZone process takes two Trap_enters — the
@@ -486,8 +467,6 @@ let () =
             test_traced_run_coverage;
           Alcotest.test_case "exclusive vs inclusive accounting" `Quick
             test_exclusive_inclusive;
-          Alcotest.test_case "decimation scales point counts" `Quick
-            test_decimation;
           Alcotest.test_case "forwarded-trap attribution (regression)"
             `Quick test_forwarded_trap_attribution;
           Alcotest.test_case "superblocks invisible under trace (128 dom)"
