@@ -74,9 +74,11 @@ fuzz: build
 
 # CI variant: fixed seed, 2000 cases, gated against the committed
 # BENCH_fuzz.smoke.json (report in BENCH_fuzz.smoke.check.json) —
-# exits non-zero on any engine divergence or on losing a baseline
-# coverage key (coverage regression). Deterministic: two consecutive
-# runs produce identical key sets and corpora.
+# exits non-zero on any engine divergence, on losing a baseline
+# coverage key (coverage regression), or on any change to the
+# simulated rows: corpus size and digest, key count, cases per kind
+# and the coverage curve. Deterministic: two consecutive runs produce
+# identical key sets and corpora.
 fuzz-smoke: build
 	dune exec bench/fuzz.exe -- --smoke --check
 

@@ -28,18 +28,18 @@ val assigned : t -> int
 (** Number of frames with fake addresses (table memory accounting). *)
 
 val clone : t -> t
-(** Independent copy of the assignment tables (machine forking). *)
+(** A new handle over the same assignments (machine forking). O(1):
+    the assignments are one immutable value, so the clone and the
+    original diverge from the first assignment either makes. *)
 
 (** {1 Snapshot} *)
 
 type state
 
 val capture : t -> state
-(** O(1): assignments are only ever added, so the state is the
-    assignment log as of now. *)
+(** O(1): the assignments as of now, an immutable value. *)
 
 val restore : t -> state -> unit
-(** Rewind the assignments to [state]. Restoring along the timeline
-    the state was captured in removes only the assignments added
-    since; restoring across timelines (the tables hold assignments the
-    state never saw) rebuilds the tables from the state. *)
+(** O(1): make [state] the assignments again, whatever timeline the
+    handle was on. Tables sharing the handle see the restored
+    assignments. *)

@@ -8,26 +8,30 @@ type backend = Host | Guest of Lowvisor.t
 
 type outcome = Exited of int | Terminated of string | Limit_reached
 
+module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
+
 (* Protection registry entry for one virtual page. *)
 type page_prot = {
-  mutable pgt_ids : int list;  (* page tables the domain is attached to *)
-  mutable perm : Perm.t;
-  mutable pan : bool;          (* user-page overlay: PAN-protected *)
+  pgt_ids : int list;  (* page tables the domain is attached to *)
+  perm : Perm.t;
+  pan : bool;          (* user-page overlay: PAN-protected *)
 }
 
-(* Per-process bookkeeping the fault paths consult. Lives behind a
-   [ref] in the module record so threads of one process (which share a
-   record copy) see one registry, while snapshot restore can swap the
-   whole thing in O(1). *)
+(* Per-process bookkeeping the fault paths consult: one immutable
+   value, so capturing, restoring or forking it copies a pointer.
+   Every mutation writes a new value into the [ref] in the module
+   record, which threads of one process (sharing a record copy) share,
+   so they see one registry. *)
 type signal_frame = { saved_elr : int; saved_spsr : int; saved_ttbr0 : int }
 
 type shadow = {
-  prot : (int, page_prot) Hashtbl.t;       (* va page -> protection *)
-  mapped_in : (int, int list ref) Hashtbl.t;  (* va page -> pgt ids *)
-  exec_frames : (int, unit) Hashtbl.t;     (* fake ipa -> sanitized+X *)
-  frame_vas : (int, int list ref) Hashtbl.t;  (* fake ipa -> va pages *)
-  mutable sig_pending : int list;          (* handler addresses *)
-  mutable sig_stack : signal_frame list;   (* live signal contexts *)
+  prot : page_prot Int_map.t;     (* va page -> protection *)
+  mapped_in : int list Int_map.t; (* va page -> pgt ids *)
+  exec_frames : Int_set.t;        (* fake ipa, sanitized+X *)
+  frame_vas : int list Int_map.t; (* fake ipa -> va pages *)
+  sig_pending : int list;         (* handler addresses *)
+  sig_stack : signal_frame list;  (* live signal contexts *)
 }
 
 type t = {
@@ -65,41 +69,7 @@ type t = {
 
 let shadow_of t = !(t.shadow)
 
-(* Snapshotting the shadow registry: deep-copy so later mutation of
-   the live tables (or of a restored machine) can never reach the
-   captured image. [page_prot] records and the [int list ref] cells
-   are the only mutable leaves; [signal_frame] is immutable. *)
-let copy_shadow sh =
-  let copy_prot h =
-    let out = Hashtbl.create (max 16 (Hashtbl.length h)) in
-    Hashtbl.iter
-      (fun k p ->
-        Hashtbl.replace out k
-          { pgt_ids = p.pgt_ids; perm = p.perm; pan = p.pan })
-      h;
-    out
-  in
-  let copy_refs h =
-    let out = Hashtbl.create (max 16 (Hashtbl.length h)) in
-    Hashtbl.iter (fun k r -> Hashtbl.replace out k (ref !r)) h;
-    out
-  in
-  { prot = copy_prot sh.prot;
-    mapped_in = copy_refs sh.mapped_in;
-    exec_frames = Hashtbl.copy sh.exec_frames;
-    frame_vas = copy_refs sh.frame_vas;
-    sig_pending = sh.sig_pending;
-    sig_stack = sh.sig_stack }
-
 type shadow_state = shadow
-
-let capture_shadow t = copy_shadow !(t.shadow)
-
-(* Install a fresh copy each time, so one captured image can be
-   restored repeatedly without the live tables aliasing it. *)
-let restore_shadow t st = t.shadow := copy_shadow st
-
-let install_shadow st = ref (copy_shadow st)
 
 let cost t = t.machine.Machine.cost
 
@@ -229,39 +199,32 @@ let rebuild_asid_index t =
 let unmap_everywhere t ~va =
   let sh = shadow_of t in
   let page = Bits.align_down va 4096 in
-  (match Hashtbl.find_opt sh.mapped_in page with
+  (match Int_map.find_opt page sh.mapped_in with
   | Some ids ->
       List.iter
         (fun id ->
           match Zone_tab.find_opt t.pgts id with
           | Some tbl -> Lz_table.unmap tbl ~va:page
           | None -> ())
-        !ids;
-      ids := []
+        ids;
+      t.shadow := { sh with mapped_in = Int_map.remove page sh.mapped_in }
   | None -> ());
   Tlb.flush_va t.machine.Machine.tlb ~vmid:t.vmid ~va:page
+
+(* [x] consed onto [key]'s list in [m] unless it is there already;
+   [m] itself when nothing changes. *)
+let add_unique key x m =
+  match Int_map.find_opt key m with
+  | Some l when List.mem x l -> m
+  | l -> Int_map.add key (x :: Option.value l ~default:[]) m
 
 let note_mapping t ~va ~pgt_id ~fake =
   let sh = shadow_of t in
   let page = Bits.align_down va 4096 in
-  let ids =
-    match Hashtbl.find_opt sh.mapped_in page with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace sh.mapped_in page r;
-        r
-  in
-  if not (List.mem pgt_id !ids) then ids := pgt_id :: !ids;
-  let vas =
-    match Hashtbl.find_opt sh.frame_vas fake with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace sh.frame_vas fake r;
-        r
-  in
-  if not (List.mem page !vas) then vas := page :: !vas
+  let mapped_in = add_unique page pgt_id sh.mapped_in
+  and frame_vas = add_unique fake page sh.frame_vas in
+  if mapped_in != sh.mapped_in || frame_vas != sh.frame_vas then
+    t.shadow := { sh with mapped_in; frame_vas }
 
 (* ------------------------------------------------------------------ *)
 (* Entering LightZone *)
@@ -308,8 +271,8 @@ let enter ?(backend = Host) ?(asid_bits = 14) ~allow_scalable ~san_mode
       asid_pgt = ref (Array.make (1 lsl asid_bits) 0);
       shadow =
         ref
-          { prot = Hashtbl.create 64; mapped_in = Hashtbl.create 256;
-            exec_frames = Hashtbl.create 64; frame_vas = Hashtbl.create 256;
+          { prot = Int_map.empty; mapped_in = Int_map.empty;
+            exec_frames = Int_set.empty; frame_vas = Int_map.empty;
             sig_pending = []; sig_stack = [] };
       terminated = None; traps = 0; syscall_traps = 0; fault_traps = 0;
       irq_traps = 0; on_irq = None; on_quiescent = None }
@@ -366,28 +329,30 @@ let lz_free t id =
 
 let lz_prot t ~addr ~len ~pgt ~perm =
   if not (Bits.is_aligned addr 4096) then invalid_arg "lz_prot: unaligned";
-  let sh = shadow_of t in
   let pages = (len + 4095) / 4096 in
   for i = 0 to pages - 1 do
+    let sh = shadow_of t in
     let page = addr + (i * 4096) in
+    let set r = t.shadow := { sh with prot = Int_map.add page r sh.prot } in
     let record =
-      match Hashtbl.find_opt sh.prot page with
+      match Int_map.find_opt page sh.prot with
       | Some r -> r
-      | None ->
-          let r = { pgt_ids = []; perm = 0; pan = false } in
-          Hashtbl.replace sh.prot page r;
-          r
+      | None -> { pgt_ids = []; perm = 0; pan = false }
     in
-    if pgt = Perm.pgt_all || Perm.has perm Perm.user then begin
-      record.pan <- true;
-      record.perm <- perm
-    end
+    if pgt = Perm.pgt_all || Perm.has perm Perm.user then
+      set { record with pan = true; perm }
     else begin
-      if not (Zone_tab.mem t.pgts pgt) then
-        invalid_arg "lz_prot: unknown page table";
-      if not (List.mem pgt record.pgt_ids) then
-        record.pgt_ids <- pgt :: record.pgt_ids;
-      record.perm <- perm
+      if not (Zone_tab.mem t.pgts pgt) then begin
+        (* An unknown table still leaves the page registered. *)
+        set record;
+        invalid_arg "lz_prot: unknown page table"
+      end;
+      set
+        { record with
+          pgt_ids =
+            (if List.mem pgt record.pgt_ids then record.pgt_ids
+             else pgt :: record.pgt_ids);
+          perm }
     end;
     (* Force re-faulting under the new policy. *)
     unmap_everywhere t ~va:page
@@ -451,17 +416,29 @@ let map_unprotected t (pgt_id, tbl) ~page ~(vma : Vma.t) ~fake ~exec =
   Lz_table.map_page tbl ~va:page ~fake_pa:fake attrs;
   note_mapping t ~va:page ~pgt_id ~fake
 
-let sanitize_and_make_exec t ~page ~real ~fake =
-  let sh = shadow_of t in
-  (* Break-before-make: drop every mapping of the frame first. *)
+(* Drop every mapping of the frame at [fake] (break-before-make). *)
+let unmap_frame t ~fake =
   (match Core.tracer t.core with
   | Some tr ->
       Trace.emit tr ~cycles:t.core.Core.cycles (Trace.Wx_bbm { fake })
   | None -> ());
-  (match Hashtbl.find_opt sh.frame_vas fake with
-  | Some vas -> List.iter (fun va -> unmap_everywhere t ~va) !vas
-  | None -> ());
-  let scan = Sanitizer.scan_page t.san_mode t.machine.Machine.phys ~pa:real in
+  match Int_map.find_opt fake (shadow_of t).frame_vas with
+  | Some vas -> List.iter (fun va -> unmap_everywhere t ~va) vas
+  | None -> ()
+
+let san_tag = function Sanitizer.Ttbr_mode -> 0 | Sanitizer.Pan_mode -> 1
+
+(* A frame stamped clean under this mode at its current generation
+   holds the bytes that passed, so the scan would pass again: it is
+   skipped, and everything around it still happens. The scan charges
+   no simulated cycles, so skipping it changes no simulated number. *)
+let sanitize_and_make_exec t ~page ~real ~fake =
+  unmap_frame t ~fake;
+  let phys = t.machine.Machine.phys and tag = san_tag t.san_mode in
+  let scan =
+    if Phys.stamped phys real ~tag then Ok ()
+    else Sanitizer.scan_page t.san_mode phys ~pa:real
+  in
   (match Core.tracer t.core with
   | Some tr ->
       Trace.emit tr ~cycles:t.core.Core.cycles
@@ -475,21 +452,16 @@ let sanitize_and_make_exec t ~page ~real ~fake =
            (page + off) why);
       false
   | Ok () ->
-      Hashtbl.replace sh.exec_frames fake ();
-      Stage2.map_page t.machine.Machine.phys ~root:t.s2_root ~ipa:fake
-        ~pa:real s2_rx;
+      Phys.stamp phys real ~tag;
+      let sh = shadow_of t in
+      t.shadow := { sh with exec_frames = Int_set.add fake sh.exec_frames };
+      Stage2.map_page phys ~root:t.s2_root ~ipa:fake ~pa:real s2_rx;
       true
 
 let make_frame_writable t ~fake =
+  unmap_frame t ~fake;
   let sh = shadow_of t in
-  (match Core.tracer t.core with
-  | Some tr ->
-      Trace.emit tr ~cycles:t.core.Core.cycles (Trace.Wx_bbm { fake })
-  | None -> ());
-  (match Hashtbl.find_opt sh.frame_vas fake with
-  | Some vas -> List.iter (fun va -> unmap_everywhere t ~va) !vas
-  | None -> ());
-  Hashtbl.remove sh.exec_frames fake;
+  t.shadow := { sh with exec_frames = Int_set.remove fake sh.exec_frames };
   match Fake_phys.real_of_fake t.fake fake with
   | Some real ->
       Stage2.map_page t.machine.Machine.phys ~root:t.s2_root ~ipa:fake
@@ -517,7 +489,7 @@ let handle_lz_fault t ~va ~(access : Mmu.access) ~perm_fault =
     match current_pgt t with
     | None -> terminate t "TTBR0 does not name a LightZone page table"
     | Some (pgt_id, tbl) -> (
-        match Hashtbl.find_opt sh.prot page with
+        match Int_map.find_opt page sh.prot with
         | Some r when r.pan -> (
             if perm_fault then
               terminate t
@@ -565,7 +537,7 @@ let handle_lz_fault t ~va ~(access : Mmu.access) ~perm_fault =
                     end
                   end
                   else begin
-                    if not (Hashtbl.mem sh.exec_frames fake) then
+                    if not (Int_set.mem fake sh.exec_frames) then
                       Stage2.map_page t.machine.Machine.phys ~root:t.s2_root
                         ~ipa:fake ~pa:real s2_rw;
                     (* Least permission: intersect overlay with VMA. *)
@@ -585,7 +557,7 @@ let handle_lz_fault t ~va ~(access : Mmu.access) ~perm_fault =
                   (Printf.sprintf "segmentation fault at 0x%x (no VMA)" va)
             | Some (vma, real) ->
                 let fake = Fake_phys.assign t.fake ~real in
-                let frame_is_exec = Hashtbl.mem sh.exec_frames fake in
+                let frame_is_exec = Int_set.mem fake sh.exec_frames in
                 if access = Mmu.Exec then begin
                   if not vma.Vma.prot.Vma.x then
                     terminate t
@@ -711,7 +683,7 @@ let handle_forwarded t =
         let page = Bits.align_down far 4096 in
         let jit_flip =
           write
-          && (match Hashtbl.find_opt sh.prot page with
+          && (match Int_map.find_opt page sh.prot with
              | Some _ -> false
              | None -> (
                  match Proc.find_vma t.proc far with
@@ -763,7 +735,7 @@ let handle_s2_abort t (f : Mmu.fault) ~exec =
       end
       else if
         f.Mmu.access = Mmu.Write
-        && Hashtbl.mem sh.exec_frames fake
+        && Int_set.mem fake sh.exec_frames
         && (match Proc.find_vma t.proc f.Mmu.va with
            | Some vma -> vma.Vma.prot.Vma.w
            | None -> false)
@@ -773,11 +745,11 @@ let handle_s2_abort t (f : Mmu.fault) ~exec =
           (Printf.sprintf "stage-2 permission violation at IPA 0x%x"
              f.Mmu.ipa)
 
-(* Threads share all process-level state (the hashtables and the
-   shadow registry are physically shared by the record copy); only the
-   core — registers, PSTATE.PAN, TTBR0 — is per-thread, exactly the
-   per-thread state the paper's domain model assigns. Termination is
-   propagated through the shared [proc]. *)
+(* Threads share all process-level state (the zone table and the
+   shadow registry's cell are physically shared by the record copy);
+   only the core — registers, PSTATE.PAN, TTBR0 — is per-thread,
+   exactly the per-thread state the paper's domain model assigns.
+   Termination is propagated through the shared [proc]. *)
 let new_thread t ~entry ~sp =
   let core =
     Machine.new_core ~route_el1_to_harness:false t.machine Pstate.EL1
@@ -791,7 +763,7 @@ let new_thread t ~entry ~sp =
 
 let queue_signal t ~handler =
   let sh = shadow_of t in
-  sh.sig_pending <- sh.sig_pending @ [ handler ]
+  t.shadow := { sh with sig_pending = sh.sig_pending @ [ handler ] }
 
 let pending_signals t = List.length (shadow_of t).sig_pending
 
@@ -804,14 +776,14 @@ let maybe_deliver_signal t =
   match sh.sig_pending with
   | [] -> ()
   | handler :: rest ->
-      sh.sig_pending <- rest;
       let sys = t.core.Core.sys in
       let frame =
         { saved_elr = Sysreg.read sys Sysreg.ELR_EL2;
           saved_spsr = Sysreg.read sys Sysreg.SPSR_EL2;
           saved_ttbr0 = Sysreg.read sys Sysreg.TTBR0_EL1 }
       in
-      sh.sig_stack <- frame :: sh.sig_stack;
+      t.shadow :=
+        { sh with sig_pending = rest; sig_stack = frame :: sh.sig_stack };
       Sysreg.write sys Sysreg.ELR_EL2 handler;
       let handler_pstate = Pstate.make Pstate.EL1 in
       handler_pstate.Pstate.pan <- true;
@@ -826,7 +798,7 @@ let do_sigreturn t =
   match sh.sig_stack with
   | [] -> terminate t "sigreturn without a signal frame"
   | frame :: rest ->
-      sh.sig_stack <- rest;
+      t.shadow := { sh with sig_stack = rest };
       let sys = t.core.Core.sys in
       Sysreg.write sys Sysreg.ELR_EL2 frame.saved_elr;
       Sysreg.write sys Sysreg.SPSR_EL2 frame.saved_spsr;

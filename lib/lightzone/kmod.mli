@@ -27,8 +27,10 @@ type outcome =
   | Limit_reached
 
 type shadow_state
-(** Deep copy of one process's shadow registry (protection registry,
-    domain membership, sanitized-frame set, signal state). *)
+(** One process's shadow registry (protection registry, domain
+    membership, sanitized-frame set, signal state) as an immutable
+    value: holding one costs a pointer, and nothing the live registry
+    does later can reach it. *)
 
 type t = {
   kernel : Lz_kernel.Kernel.t;
@@ -53,6 +55,11 @@ type t = {
           to the largest live ASID, and a registration past its end
           grows it. *)
   shadow : shadow_state ref;
+      (** The live registry. Every mutation replaces the value, so a
+          machine snapshot captures it by reading the cell and
+          restores it by writing the cell, in O(1); a fork's record
+          gets its own cell. Thread records ({!new_thread}) share
+          this one. *)
   mutable terminated : string option;
   mutable traps : int;
   mutable syscall_traps : int;
@@ -160,21 +167,7 @@ val table_memory_frames : t -> int
 (** Frames consumed by LightZone page tables (memory-overhead
     accounting, Section 9). *)
 
-(** {1 Snapshot support}
-
-    The protection registry, domain membership, sanitized-frame set
-    and signal state live behind the record's [shadow] ref. Machine
-    snapshots capture and restore it through these. *)
-
-val capture_shadow : t -> shadow_state
-
-val restore_shadow : t -> shadow_state -> unit
-(** Replaces the live registry with a fresh copy of the captured one
-    (the image stays valid for further restores). *)
-
-val install_shadow : shadow_state -> shadow_state ref
-(** A fresh live registry holding a copy of a captured one — machine
-    forking, where the fork's record gets its own [shadow] cell. *)
+(** {1 Snapshot support} *)
 
 val rebuild_asid_index : t -> unit
 (** Recompute [asid_pgt] from [pgts], sized to the largest live ASID

@@ -1,5 +1,7 @@
 let page_size = 4096
 
+module Int_map = Map.Make (Int)
+
 (* 64-bit words per frame: frames live in a shared Bigarray arena of
    int64 words, so aligned 64-bit loads/stores are single array
    accesses and a frame copy is a 512-word blit. *)
@@ -47,6 +49,12 @@ type map = {
      the frame's generation, so any store into a frame (simulated or
      OCaml-modelled) invalidates cached decodes for it. *)
   mutable gens : int array;
+  (* Scan stamps: frame number -> [(gen lsl 8) lor tag], the frame
+     passed a content check named by [tag] at generation [gen]. Few
+     frames carry one (code pages), so it is a persistent map that
+     [cow_clone] shares in O(1). Never rewound, like [gens], so a stamp
+     matches only while the frame holds the bytes that passed. *)
+  mutable stamps : int Int_map.t;
   (* Every view sharing this map (self included): slot-identity
      changes performed at a barrier (snapshot, restore, clone pinning)
      must invalidate every view's memo, not just the caller's. *)
@@ -106,6 +114,7 @@ let create () =
       max_frames = 512 * 256;
       handed_out = 0;
       gens = Array.make 1024 0;
+      stamps = Int_map.empty;
       views = [] }
   in
   let t =
@@ -240,6 +249,19 @@ let[@inline] page_gen t pa =
   let n = pa / page_size in
   let gens = t.map.gens in
   if n < Array.length gens then gens.(n) else 0
+
+let stamp_of t pa ~tag =
+  if tag land 0xFF <> tag then invalid_arg "Phys.stamp: tag outside 0..255";
+  (page_gen t pa lsl 8) lor tag
+
+let stamp t pa ~tag =
+  let m = t.map in
+  m.stamps <- Int_map.add (pa / page_size) (stamp_of t pa ~tag) m.stamps
+
+let stamped t pa ~tag =
+  match Int_map.find (pa / page_size) t.map.stamps with
+  | s -> s = stamp_of t pa ~tag
+  | exception Not_found -> false
 
 (* Drop sibling aliases' memo of frame [n] after its slot binding
    changed (hole materialization, CoW unshare, free): a sibling core's
@@ -662,6 +684,7 @@ let cow_clone t =
       max_frames = m.max_frames;
       handed_out = m.handed_out;
       gens = Array.copy m.gens;
+      stamps = m.stamps;
       views = [] }
   in
   let v =

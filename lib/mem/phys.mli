@@ -82,9 +82,30 @@ val zero_frame : t -> int -> unit
 val page_gen : t -> int -> int
 (** [page_gen t pa] is the write-generation counter of the frame
     containing [pa]: it increases on every store into the frame
-    (including [zero_frame] and [write_bytes]). The decoded-
-    instruction cache uses it to revalidate cached pages; equal
-    generations guarantee the frame's contents are unchanged. *)
+    (including [zero_frame] and [write_bytes]). Equal generations in
+    one view guarantee the frame's contents are unchanged. Two users
+    rely on that: the decoded-instruction cache revalidates cached
+    pages by it, and {!stamped} answers by it. *)
+
+val stamp : t -> int -> tag:int -> unit
+(** [stamp t pa ~tag] records that the frame containing [pa], as it
+    reads now, passed the content check named by [tag] (0..255; the
+    LightZone module stamps a clean sanitizer scan, tagged with the
+    sanitizer mode). Stamps are per view: {!alias}es share them,
+    {!cow_clone} copies them, {!restore} leaves them alone. A frame
+    has one stamp; a new one replaces it. *)
+
+val stamped : t -> int -> tag:int -> bool
+(** [stamped t pa ~tag] is [true] iff the frame's stamp has [tag] and
+    was made at the frame's current generation, so the frame holds
+    the bytes that passed. Any generation bump makes a stamp stale: a
+    store, {!zero_frame}, {!free_frame}, the restore of a dirty frame,
+    {!drop_view}. A stamp is not a content key: {!cow_clone} copies
+    generations, so two forks can hold different bytes at one
+    generation, and a stamp answers only in the view that made it (or
+    a clone taken after it). If stores into some frames ever stop
+    bumping the generation (a per-frame "a decoder cached it" flag),
+    stamping a frame must set that flag too. *)
 
 (** {1 Snapshot, restore and fork} *)
 

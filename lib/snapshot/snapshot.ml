@@ -182,7 +182,7 @@ let capture (z : Kmod.t) =
         z.Kmod.pgts [];
     z_ttbr1_frames = z.Kmod.ttbr1.Lz_table.table_frames;
     z_fake = Fake_phys.capture z.Kmod.fake;
-    z_shadow = Kmod.capture_shadow z;
+    z_shadow = !(z.Kmod.shadow);
     s_trace =
       (match Core.tracer z.Kmod.core with
       | Some tr -> Some (Trace.total tr)
@@ -225,7 +225,7 @@ let restore (z : Kmod.t) s =
   Kmod.rebuild_asid_index z;
   z.Kmod.ttbr1.Lz_table.table_frames <- s.z_ttbr1_frames;
   Fake_phys.restore z.Kmod.fake s.z_fake;
-  Kmod.restore_shadow z s.z_shadow;
+  z.Kmod.shadow := s.z_shadow;
   dirty
 
 let release (z : Kmod.t) s = Phys.release z.Kmod.machine.Machine.phys s.s_phys
@@ -335,7 +335,7 @@ let fork (z : Kmod.t) s =
       pgts;
       asids;
       asid_pgt = ref [||];
-      shadow = Kmod.install_shadow s.z_shadow;
+      shadow = ref s.z_shadow;
       terminated = s.z_terminated;
       traps = s.z_traps;
       syscall_traps = s.z_syscall_traps;

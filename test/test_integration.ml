@@ -7,6 +7,7 @@
 open Lz_arm
 open Lz_kernel
 open Lightzone
+module Snapshot = Lz_snap.Snapshot
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -90,6 +91,90 @@ let test_jit_sensitive_injection_caught () =
       check_bool "sanitizer caught the injected ERET" true
         (contains why "sanitizer")
   | o -> Alcotest.failf "expected termination, got %a" Kmod.pp_outcome o
+
+(* Resume a zone parked at its exit [brk]: the core sits at EL2 until
+   the ERET back into the interrupted EL1 context. *)
+let resume (t : Kmod.t) ~pc =
+  Lz_cpu.Core.eret_from_el2 t.Kmod.core;
+  t.Kmod.proc.Proc.exit_code <- None;
+  t.Kmod.core.Lz_cpu.Core.pc <- pc
+
+let expect_exit what = function
+  | Kmod.Exited 0 -> ()
+  | o -> Alcotest.failf "%s: %a" what Kmod.pp_outcome o
+
+let expect_killed what ~by = function
+  | Kmod.Terminated why ->
+      check_bool (Printf.sprintf "%s: %s" what why) true (contains why by)
+  | o -> Alcotest.failf "%s: expected termination, got %a" what
+           Kmod.pp_outcome o
+
+(* A JIT page that passed the sanitizer is stamped. A store after the
+   clean scan stales the stamp, so the ERET it injects is caught; a
+   restore to the clean capture brings back a page that runs. *)
+let test_jit_stamp_restore () =
+  let _, kernel, proc = fresh () in
+  ignore (Kernel.map_anon kernel proc ~at:jit_va ~len:4096 Vma.rwx);
+  let t =
+    Api.lz_enter ~allow_scalable:true ~insn_san:1 ~entry:code_va
+      ~sp:stack_va kernel proc
+  in
+  let b = Builder.create ~base:code_va in
+  Builder.mov_imm64 b 0 jit_va;
+  store_insn b ~addr_reg:0 ~off:0 (Insn.Movz (9, 111, 0));
+  store_insn b ~addr_reg:0 ~off:4 (Insn.Ret 30);
+  Builder.emit b [ Insn.Blr 0; Insn.Brk 0 ] (* scanned clean *);
+  let inject = Builder.here b in
+  store_insn b ~addr_reg:0 ~off:0 Insn.Eret;
+  let call = Builder.here b in
+  Builder.emit b [ Insn.Blr 0; Insn.Brk 0 ];
+  Api.load_and_register t b ~va:code_va;
+  expect_exit "clean payload" (Api.run t);
+  resume t ~pc:inject;
+  let clean = Snapshot.capture t in
+  expect_killed "ERET over a stamped page" ~by:"sanitizer" (Api.run t);
+  ignore (Snapshot.restore t clean);
+  Lz_cpu.Core.set_reg t.Kmod.core 9 0;
+  t.Kmod.core.Lz_cpu.Core.pc <- call;
+  expect_exit "restored payload" (Api.run t);
+  check_int "the restored payload ran" 111 (Lz_cpu.Core.reg t.Kmod.core 9);
+  Snapshot.release t clean
+
+(* Two forks of one image whose JIT frame is stamped each store one
+   word into it, so both frames reach the same generation with
+   different bytes. Stamps are per view: the benign fork's clean
+   rescan vouches for nothing in the other fork. *)
+let test_jit_stamp_forks () =
+  let _, kernel, proc = fresh () in
+  ignore (Kernel.map_anon kernel proc ~at:jit_va ~len:4096 Vma.rwx);
+  let t =
+    Api.lz_enter ~allow_scalable:true ~insn_san:1 ~entry:code_va
+      ~sp:stack_va kernel proc
+  in
+  let b = Builder.create ~base:code_va in
+  Builder.mov_imm64 b 0 jit_va;
+  store_insn b ~addr_reg:0 ~off:0 (Insn.Movz (9, 111, 0));
+  store_insn b ~addr_reg:0 ~off:4 (Insn.Ret 30);
+  Builder.emit b [ Insn.Blr 0; Insn.Brk 0 ] (* scanned clean *);
+  let patch = Builder.here b in
+  Builder.emit b [ Insn.Str32 (12, 0, 0); Insn.Blr 0; Insn.Brk 0 ];
+  Api.load_and_register t b ~va:code_va;
+  expect_exit "clean payload" (Api.run t);
+  resume t ~pc:patch;
+  let image = Snapshot.capture t in
+  let run_fork insn =
+    let f = Snapshot.fork t image in
+    Lz_cpu.Core.set_reg f.Kmod.core 12 (Encoding.encode insn);
+    let outcome = Kmod.run f in
+    let x9 = Lz_cpu.Core.reg f.Kmod.core 9 in
+    Snapshot.retire_fork f;
+    (outcome, x9)
+  in
+  let benign, x9 = run_fork (Insn.Movz (9, 222, 0)) in
+  expect_exit "benign fork" benign;
+  check_int "the benign fork's payload ran" 222 x9;
+  expect_killed "ERET fork" ~by:"sanitizer" (fst (run_fork Insn.Eret));
+  Snapshot.release t image
 
 let test_munmap_revokes_lz_view () =
   (* The process maps, touches, then munmaps a region through the
@@ -448,12 +533,52 @@ let test_lz_free_invalidates_gate () =
         || contains why "stage-2")
   | o -> Alcotest.failf "expected violation, got %a" Kmod.pp_outcome o
 
+(* The protection registry is one value per machine: what a fork
+   registers stays in the fork, and what the source registers after a
+   capture stays out of the image. *)
+let test_fork_keeps_own_registry () =
+  let _, kernel, proc = fresh () in
+  ignore (Kernel.map_anon kernel proc ~at:data_va ~len:4096 Vma.rw);
+  let t =
+    Api.lz_enter ~allow_scalable:true ~insn_san:1 ~entry:code_va
+      ~sp:stack_va kernel proc
+  in
+  let b = Builder.create ~base:code_va in
+  Builder.emit b [ Insn.Brk 0 ];
+  let touch = Builder.here b in
+  Builder.mov_imm64 b 0 data_va;
+  Builder.emit b [ Insn.Ldr (2, 0, 0); Insn.Brk 0 ];
+  Api.load_and_register t b ~va:code_va;
+  expect_exit "entry" (Api.run t);
+  resume t ~pc:touch;
+  let image = Snapshot.capture t in
+  let protect z =
+    let p = Kmod.lz_alloc z in
+    Kmod.lz_prot z ~addr:data_va ~len:4096 ~pgt:p
+      ~perm:(Perm.read lor Perm.write)
+  in
+  let f = Snapshot.fork t image in
+  protect f;
+  expect_killed "the fork's own domain" ~by:"unauthorized" (Kmod.run f);
+  Snapshot.retire_fork f;
+  expect_exit "source after the fork registered" (Kmod.run t);
+  ignore (Snapshot.restore t image);
+  protect t;
+  let g = Snapshot.fork t image in
+  expect_exit "fork of the image the source changed since" (Kmod.run g);
+  Snapshot.retire_fork g;
+  Snapshot.release t image
+
 let () =
   Alcotest.run "lz_integration"
     [ ( "wxe",
         [ Alcotest.test_case "jit flip cycle" `Quick test_jit_flip_cycle;
           Alcotest.test_case "jit injection caught" `Quick
-            test_jit_sensitive_injection_caught ] );
+            test_jit_sensitive_injection_caught;
+          Alcotest.test_case "jit stamp and restore" `Quick
+            test_jit_stamp_restore;
+          Alcotest.test_case "jit stamp per fork" `Quick
+            test_jit_stamp_forks ] );
       ( "sync",
         [ Alcotest.test_case "munmap revokes" `Quick
             test_munmap_revokes_lz_view ] );
@@ -463,7 +588,9 @@ let () =
           Alcotest.test_case "read-only overlay" `Quick
             test_read_only_overlay;
           Alcotest.test_case "64-domain walkabout" `Quick
-            test_many_domains_walkabout ] );
+            test_many_domains_walkabout;
+          Alcotest.test_case "fork keeps its registry" `Quick
+            test_fork_keeps_own_registry ] );
       ( "guest",
         [ Alcotest.test_case "gates through lowvisor" `Quick
             test_guest_lz_gates_end_to_end ] );

@@ -721,6 +721,132 @@ let test_drop_view_bounds_store () =
   check_int "only the original's slots remain" 16
     (Phys.stats p).Phys.store_slots
 
+(* QCheck: a stamp vouches for the bytes it was made on. Random
+   writes, stamps, snapshots, restores, clones, drops and frees over a
+   family of views (dropped views stay in use); whenever a frame reads
+   as stamped with a tag, the view (or the view it was cloned from)
+   stamped it with that tag while it held the bytes it holds now. The
+   model keeps, per view and frame, the tag and a copy of the bytes of
+   the last stamp. *)
+type stamp_view = {
+  sv : Phys.t;
+  marks : (int * Bytes.t) option array;
+  mutable s_snaps : Phys.snapshot list;
+}
+
+type stamp_op =
+  | S_write of int * int * int
+  | S_stamp of int * int * int
+  | S_snap of int
+  | S_restore of int * int
+  | S_clone of int
+  | S_drop of int
+  | S_free of int * int
+
+let prop_stamp_holds_bytes =
+  let frames_n = 4 in
+  let frame = QCheck2.Gen.int_range 0 (frames_n - 1) in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (6, map3 (fun i k v -> S_write (i, k, v)) nat frame (int_range 1 3));
+          ( 4,
+            map3 (fun i k tag -> S_stamp (i, k, tag)) nat frame (int_range 0 1)
+          );
+          (2, map (fun i -> S_snap i) nat);
+          (2, map2 (fun i j -> S_restore (i, j)) nat nat);
+          (2, map (fun i -> S_clone i) nat);
+          (1, map (fun i -> S_drop i) nat);
+          (1, map2 (fun i k -> S_free (i, k)) nat frame) ])
+  in
+  QCheck2.Test.make ~name:"a stamped frame holds its stamped bytes"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+      let p = Phys.create () in
+      let frames = Array.init frames_n (fun _ -> Phys.alloc_frame p) in
+      let views =
+        ref [ { sv = p; marks = Array.make frames_n None; s_snaps = [] } ]
+      in
+      let pick l i = List.nth l (i mod List.length l) in
+      let bytes v k = Phys.read_bytes v.sv frames.(k) Phys.page_size in
+      let vouched v =
+        List.for_all
+          (fun k ->
+            List.for_all
+              (fun tag ->
+                (not (Phys.stamped v.sv frames.(k) ~tag))
+                ||
+                match v.marks.(k) with
+                | Some (t, b) -> t = tag && Bytes.equal b (bytes v k)
+                | None -> false)
+              [ 0; 1 ])
+          (List.init frames_n Fun.id)
+      in
+      List.for_all
+        (fun o ->
+          (match o with
+          | S_write (i, k, x) ->
+              Phys.write64 (pick !views i).sv (frames.(k) + 8) x
+          | S_stamp (i, k, tag) ->
+              let v = pick !views i in
+              Phys.stamp v.sv frames.(k) ~tag;
+              v.marks.(k) <- Some (tag, bytes v k)
+          | S_snap i ->
+              let v = pick !views i in
+              v.s_snaps <- Phys.snapshot v.sv :: v.s_snaps
+          | S_restore (i, j) -> (
+              let v = pick !views i in
+              match v.s_snaps with
+              | [] -> ()
+              | l -> ignore (Phys.restore v.sv (pick l j)))
+          | S_clone i ->
+              let v = pick !views i in
+              views :=
+                !views
+                @ [ { sv = Phys.cow_clone v.sv; marks = Array.copy v.marks;
+                      s_snaps = [] } ]
+          | S_drop i -> Phys.drop_view (pick !views i).sv
+          | S_free (i, k) -> Phys.free_frame (pick !views i).sv frames.(k));
+          List.for_all vouched !views)
+        ops)
+
+(* What keeps a frame's bytes keeps its stamp: a restore that leaves
+   the frame clean, a clone. What changes them, or may have, does
+   not: a store (even of the same bytes), the restore of a dirty
+   frame. A stamp answers only for its own tag. *)
+let test_stamp_lifetime () =
+  let p = Phys.create () in
+  let a = Phys.alloc_frame p and b = Phys.alloc_frame p in
+  Phys.write64 p a 1;
+  Phys.stamp p a ~tag:0;
+  check_bool "stamped" true (Phys.stamped p a ~tag:0);
+  check_bool "other tag" false (Phys.stamped p a ~tag:1);
+  check_bool "other frame" false (Phys.stamped p b ~tag:0);
+  let s = Phys.snapshot p in
+  Phys.write64 p b 2;
+  ignore (Phys.restore p s);
+  check_bool "kept by a restore that leaves it clean" true
+    (Phys.stamped p a ~tag:0);
+  let c = Phys.cow_clone p in
+  check_bool "a clone inherits it" true (Phys.stamped c a ~tag:0);
+  Phys.write64 c a 3;
+  check_bool "the clone's store stales the clone's" false
+    (Phys.stamped c a ~tag:0);
+  check_bool "the original's stays" true (Phys.stamped p a ~tag:0);
+  Phys.write64 p a 1;
+  check_bool "a store of the same bytes stales it" false
+    (Phys.stamped p a ~tag:0);
+  Phys.stamp p a ~tag:1;
+  check_bool "restamped under tag 1" true (Phys.stamped p a ~tag:1);
+  check_bool "which replaced tag 0" false (Phys.stamped p a ~tag:0);
+  Phys.write64 p a 4;
+  Phys.stamp p a ~tag:1;
+  ignore (Phys.restore p s);
+  check_bool "a dirty restore stales it" false (Phys.stamped p a ~tag:1);
+  Phys.release p s;
+  Phys.drop_view c
+
 let () =
   Alcotest.run "lz_mem"
     [ ( "phys",
@@ -731,7 +857,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_restore_refcounts;
           QCheck_alcotest.to_alcotest prop_drop_view_conserves;
           Alcotest.test_case "drop_view bounds the store" `Quick
-            test_drop_view_bounds_store ] );
+            test_drop_view_bounds_store;
+          QCheck_alcotest.to_alcotest prop_stamp_holds_bytes;
+          Alcotest.test_case "stamp lifetime" `Quick test_stamp_lifetime ] );
       ( "pte",
         [ Alcotest.test_case "stage1 bits" `Quick test_pte_s1;
           Alcotest.test_case "attr rewrite" `Quick test_pte_attr_rewrite;
