@@ -61,8 +61,10 @@ engine-diff: build
 fleet: build
 	dune exec bench/fleet.exe
 
-# CI variant: 64 forks, digest-identity assertions only; writes
-# BENCH_fleet.smoke.json.
+# CI variant: 64 forks; every fork's digest must equal the image's,
+# and every churned fork must equal the source on digest, cycles,
+# instructions, TLB hits and misses, fault traps and table frames;
+# writes BENCH_fleet.smoke.json.
 fleet-smoke: build
 	dune exec bench/fleet.exe -- --smoke
 

@@ -17,7 +17,9 @@
      cold setups and extrapolated, since 1024 real cold setups would
      take minutes by construction).
 
-   Every run requires digest identity. `--smoke` runs a reduced fleet
+   Every run requires digest identity, and every churned fork must
+   also match the source's cycles, instructions, TLB hits and misses,
+   fault traps and page-table frames. `--smoke` runs a reduced fleet
    (64 forks), the CI gate; the full run (1024 forks) also requires
    the 10x cold-start gain. *)
 
@@ -31,6 +33,15 @@ let domains = 128
 let now () = Unix.gettimeofday ()
 
 let mean l = List.fold_left ( +. ) 0. l /. float_of_int (max 1 (List.length l))
+
+(* What [Sb.zone_digest] leaves out: a fork that re-faulted or missed
+   in the TLB where the source did not shows here. *)
+let counters (z : Kmod.t) =
+  let core = z.Kmod.core in
+  [ core.Lz_cpu.Core.cycles; core.Lz_cpu.Core.insns;
+    Lz_mem.Tlb.hits core.Lz_cpu.Core.tlb;
+    Lz_mem.Tlb.misses core.Lz_cpu.Core.tlb; z.Kmod.fault_traps;
+    Kmod.table_memory_frames z ]
 
 let () =
   let smoke, _ = Report.flags "fleet" in
@@ -81,7 +92,7 @@ let () =
      instance counts. The source runs one slice too, as the reference
      end state every churned fork must reach. *)
   Sb.run_slice z;
-  let ref_digest = Sb.zone_digest z in
+  let ref_digest = Sb.zone_digest z and ref_counters = counters z in
   (* Disjoint batches, so every churned fork runs exactly one slice
      (matching the source) and each MIPS row measures fresh forks. *)
   assert (List.fold_left ( + ) 0 counts <= instances);
@@ -112,14 +123,18 @@ let () =
       counts
   in
   (* Each churned slice runs the same program from the same state:
-     every fork that ran must land exactly where the source landed. *)
+     every fork that ran must land exactly where the source landed,
+     counters included. *)
   let churned = !offset in
   let churned_same =
-    Array.for_all (fun f -> Sb.zone_digest f = ref_digest)
+    Array.for_all
+      (fun f -> Sb.zone_digest f = ref_digest && counters f = ref_counters)
       (Array.sub forks 0 churned)
   in
   if forked_same && churned_same then
-    Printf.printf "fleet: all %d forks digest-identical (%d churned)\n%!"
+    Printf.printf
+      "fleet: all %d forks digest-identical (%d churned, counters equal to \
+       the source's)\n%!"
       instances churned;
 
   let dirty =
@@ -169,6 +184,7 @@ let () =
                  float ~dp:1 Info "mips" mips ])
            mips_rows))
     (need forked_same "a fork's digest differs from the warm image's"
-    @ need churned_same "a churned fork's digest differs from the source's"
+    @ need churned_same
+        "a churned fork's digest or counters differ from the source's"
     @ need (smoke || speedup >= 10.)
         "forking is only %.1fx cheaper than cold setup (< 10x)" speedup)
