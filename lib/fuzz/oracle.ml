@@ -151,19 +151,9 @@ let setup env f (c : Fuzz_case.t) =
          alias: stage 1 allows the write, the read-only stage-2
          mapping of table frames must catch it. *)
       let pgt = 1 + (c.gate mod max 1 env.domains) in
-      let dva = warm_domains_va + ((pgt - 1) * 4096) in
-      let tbl = Zone_tab.get f.Kmod.pgts pgt in
-      Kmod.set_current_pgt f pgt;
-      if not (Lz_table.mapped tbl ~va:dva) then
-        Kmod.prefault f ~va:dva ~access:Lz_mem.Mmu.Read;
-      (match Lz_table.last_level_table_fake tbl ~va:dva with
-      | Some table_fake ->
-          let tbl0 = Zone_tab.get f.Kmod.pgts 0 in
-          Lz_table.map_page tbl0 ~va:poke_va ~fake_pa:table_fake
-            { Lz_mem.Pte.user = false; read_only = false; uxn = true;
-              pxn = true; ng = false }
-      | None -> failwith "pte-poke: leaf table walk failed on warm image");
-      Kmod.set_current_pgt f 0;
+      Kmod.alias_leaf_table f ~pgt
+        ~va:(warm_domains_va + ((pgt - 1) * 4096))
+        ~at:poke_va;
       Core.set_reg core 4 poke_va;
       ([ e (Insn.Str (5, 4, c.param * 8 land 0xFF8)); brk_exit ], None)
   | Fuzz_case.Irq_storm ->

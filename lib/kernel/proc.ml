@@ -47,3 +47,30 @@ let mapped_pa t ~va =
   match Lz_mem.Stage1.walk t.machine.Machine.phys ~root:t.root ~va with
   | Ok w -> Some w.Lz_mem.Stage1.pa
   | Error _ -> None
+
+type state = {
+  st_vmas : Vma.t list;
+  st_exit_code : int option;
+  st_killed : string option;
+  st_fault_count : int;
+  st_mmap_hint : int;
+  st_output : string;
+}
+
+(* mprotect rewrites a VMA's [prot] in place, so an image holds its
+   own copies and hands the process fresh ones. *)
+let copy_vmas = List.map (fun (v : Vma.t) -> { v with Vma.prot = v.Vma.prot })
+
+let capture t =
+  { st_vmas = copy_vmas t.vmas; st_exit_code = t.exit_code;
+    st_killed = t.killed; st_fault_count = t.fault_count;
+    st_mmap_hint = t.mmap_hint; st_output = Buffer.contents t.output }
+
+let restore t s =
+  t.vmas <- copy_vmas s.st_vmas;
+  t.exit_code <- s.st_exit_code;
+  t.killed <- s.st_killed;
+  t.fault_count <- s.st_fault_count;
+  t.mmap_hint <- s.st_mmap_hint;
+  Buffer.clear t.output;
+  Buffer.add_string t.output s.st_output

@@ -35,3 +35,16 @@ val remove_vma_range : t -> start:int -> len:int -> Vma.t list
 val mapped_pa : t -> va:int -> int option
 (** Physical address currently backing [va] in the Linux-managed
     table, if resident. *)
+
+(** {1 Snapshot support} *)
+
+type state
+(** The process's bookkeeping as an immutable value: its VMAs, exit
+    and kill status, fault count, mmap hint and output. *)
+
+val capture : t -> state
+
+val restore : t -> state -> unit
+(** Make [t]'s bookkeeping equal the captured one, output included.
+    The identity fields ([pid], [machine], [root], [asid]) and the
+    synchronization hooks are left alone. *)

@@ -148,13 +148,6 @@ let restore t s =
   t.rollovers <- s.st_rollovers;
   t.recycled <- s.st_recycled
 
-(* A forked machine adopts the captured allocator under its own flush
-   callback (its own VMID / TLB). *)
-let of_state ~bits ~flush s =
-  let t = create ~bits ~flush () in
-  restore t s;
-  t
-
 let state_bits s =
   (* Recover the bit width from the captured arrays. *)
   let space = Bytes.length s.st_live in

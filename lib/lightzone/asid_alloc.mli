@@ -38,10 +38,10 @@ val recycled : t -> int
 type state
 
 val capture : t -> state
-val restore : t -> state -> unit
 
-val of_state : bits:int -> flush:(unit -> unit) -> state -> t
-(** Rebuild from a capture under a new flush callback (machine
-    forking: the fork flushes its own TLB under its own VMID). *)
+val restore : t -> state -> unit
+(** [t] must have the captured allocator's width: a forked machine
+    creates its allocator with {!state_bits} under its own flush
+    callback (its own VMID / TLB), then restores into it. *)
 
 val state_bits : state -> int

@@ -95,11 +95,17 @@ let ro_code_attrs =
 let ro_data_attrs =
   { Pte.user = false; read_only = true; uxn = true; pxn = true; ng = false }
 
+(* Write a stage-1 mapping into [tbl] through this machine's memory
+   and fake-address handle. *)
+let map_in t tbl ~va ~fake_pa attrs =
+  Lz_table.map_page t.machine.Machine.phys t.fake ~s2_root:t.s2_root tbl ~va
+    ~fake_pa attrs
+
 let map_module_page t ~va ~real ~code =
   let fake = Fake_phys.assign t.fake ~real in
   Stage2.map_page t.machine.Machine.phys ~root:t.s2_root ~ipa:fake ~pa:real
     (if code then s2_rx else s2_r);
-  Lz_table.map_page t.ttbr1 ~va ~fake_pa:fake
+  map_in t t.ttbr1 ~va ~fake_pa:fake
     (if code then ro_code_attrs else ro_data_attrs)
 
 let build_ttbr1_region t =
@@ -204,7 +210,8 @@ let unmap_everywhere t ~va =
       List.iter
         (fun id ->
           match Zone_tab.find_opt t.pgts id with
-          | Some tbl -> Lz_table.unmap tbl ~va:page
+          | Some tbl ->
+              Lz_table.unmap t.machine.Machine.phys t.fake tbl ~va:page
           | None -> ())
         ids;
       t.shadow := { sh with mapped_in = Int_map.remove page sh.mapped_in }
@@ -238,8 +245,8 @@ let install_sync_hooks t =
   t.proc.Proc.on_protect <- Some (fun ~va ~prot:_ -> unmap_everywhere t ~va)
 
 let table_memory_frames t =
-  Zone_tab.fold (fun _ tbl acc -> acc + tbl.Lz_table.table_frames) t.pgts
-    t.ttbr1.Lz_table.table_frames
+  let frames = Lz_table.frames t.machine.Machine.phys t.fake in
+  Zone_tab.fold (fun _ tbl acc -> acc + frames tbl) t.pgts (frames t.ttbr1)
 
 let enter ?(backend = Host) ?(asid_bits = 14) ~allow_scalable ~san_mode
     ~vmid ~entry ~sp kernel (proc : Proc.t) =
@@ -325,7 +332,7 @@ let lz_free t id =
         ~ttbr:0;
       !(t.asid_pgt).(tbl.Lz_table.asid) <- 0;
       Asid_alloc.free t.asids tbl.Lz_table.asid;
-      Lz_table.destroy tbl
+      Lz_table.destroy t.machine.Machine.phys t.fake ~s2_root:t.s2_root tbl
 
 let lz_prot t ~addr ~len ~pgt ~perm =
   if not (Bits.is_aligned addr 4096) then invalid_arg "lz_prot: unaligned";
@@ -413,7 +420,7 @@ let map_unprotected t (pgt_id, tbl) ~page ~(vma : Vma.t) ~fake ~exec =
         pxn = true; ng = false }
   in
   let attrs = { attrs with Pte.ng = false } in
-  Lz_table.map_page tbl ~va:page ~fake_pa:fake attrs;
+  map_in t tbl ~va:page ~fake_pa:fake attrs;
   note_mapping t ~va:page ~pgt_id ~fake
 
 (* Drop every mapping of the frame at [fake] (break-before-make). *)
@@ -503,7 +510,7 @@ let handle_lz_fault t ~va ~(access : Mmu.access) ~perm_fault =
                   Stage2.map_page t.machine.Machine.phys ~root:t.s2_root
                     ~ipa:fake ~pa:real s2_rw;
                   (* PAN-protected pages are user pages, non-global. *)
-                  Lz_table.map_page tbl ~va:page ~fake_pa:fake
+                  map_in t tbl ~va:page ~fake_pa:fake
                     { Pte.user = true;
                       read_only = not (Perm.has r.perm Perm.write);
                       uxn = true; pxn = true; ng = true };
@@ -531,7 +538,7 @@ let handle_lz_fault t ~va ~(access : Mmu.access) ~perm_fault =
                   let fake = Fake_phys.assign t.fake ~real in
                   if access = Mmu.Exec then begin
                     if sanitize_and_make_exec t ~page ~real ~fake then begin
-                      Lz_table.map_page tbl ~va:page ~fake_pa:fake
+                      map_in t tbl ~va:page ~fake_pa:fake
                         { ro_code_attrs with Pte.ng = true };
                       note_mapping t ~va:page ~pgt_id ~fake
                     end
@@ -544,7 +551,7 @@ let handle_lz_fault t ~va ~(access : Mmu.access) ~perm_fault =
                     let writable =
                       Perm.has r.perm Perm.write && vma.Vma.prot.Vma.w
                     in
-                    Lz_table.map_page tbl ~va:page ~fake_pa:fake
+                    map_in t tbl ~va:page ~fake_pa:fake
                       { Pte.user = false; read_only = not writable;
                         uxn = true; pxn = true; ng = true };
                     note_mapping t ~va:page ~pgt_id ~fake
@@ -930,6 +937,20 @@ let set_current_pgt t id =
   Sysreg.write t.core.Core.sys Sysreg.TTBR0_EL1 (pgt_ttbr t id)
 
 let prefault t ~va ~access = handle_lz_fault t ~va ~access ~perm_fault:false
+
+let alias_leaf_table t ~pgt ~va ~at =
+  let phys = t.machine.Machine.phys in
+  let tbl = Zone_tab.get t.pgts pgt in
+  set_current_pgt t pgt;
+  if not (Lz_table.mapped phys t.fake tbl ~va) then
+    prefault t ~va ~access:Mmu.Read;
+  match Lz_table.last_level_table_fake phys t.fake tbl ~va with
+  | Some table_fake ->
+      map_in t (Zone_tab.get t.pgts 0) ~va:at ~fake_pa:table_fake
+        { Pte.user = false; read_only = false; uxn = true; pxn = true;
+          ng = false };
+      set_current_pgt t 0
+  | None -> failwith "Kmod.alias_leaf_table: leaf table walk failed"
 
 let pp_outcome ppf = function
   | Exited code -> Format.fprintf ppf "exited %d" code

@@ -133,6 +133,14 @@ val prefault : t -> va:int -> access:Lz_mem.Mmu.access -> unit
 (** Run the demand-fault handler for [va] in the current page table,
     as if the process had touched it (steady-state accounting). *)
 
+val alias_leaf_table : t -> pgt:int -> va:int -> at:int -> unit
+(** The PTE-poking set-up (the pentest and the fuzz oracle's
+    pte-poke case): fault [va] into table [pgt] if it is not mapped
+    there, then map the level-3 table page that translates it into
+    pgt 0 at [at] as writable data, and leave TTBR0 on pgt 0. Stage 1
+    then allows a store through [at]; the read-only stage-2 mapping of
+    table frames must catch it. *)
+
 (** {1 Signals (paper Section 6)}
 
     "PAN and TTBR0 are added in the signal contexts of the kernel for
@@ -165,7 +173,8 @@ val pgt_ttbr : t -> int -> int
 
 val table_memory_frames : t -> int
 (** Frames consumed by LightZone page tables (memory-overhead
-    accounting, Section 9). *)
+    accounting, Section 9): {!Lz_table.frames} of every live table
+    and of the TTBR1 table, a walk of each tree. *)
 
 (** {1 Snapshot support} *)
 

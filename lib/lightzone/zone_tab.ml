@@ -98,8 +98,3 @@ let restore_exact t ~slots ~free ~next =
       t.slots.(id) <- Some v;
       t.count <- t.count + 1)
     slots
-
-let of_exact ~slots ~free ~next () =
-  let t = create () in
-  restore_exact t ~slots ~free ~next;
-  t

@@ -42,6 +42,3 @@ val free_ids : 'a t -> int list
 
 val restore_exact : 'a t -> slots:(int * 'a) list -> free:int list ->
   next:int -> unit
-
-val of_exact : slots:(int * 'a) list -> free:int list -> next:int -> unit ->
-  'a t

@@ -444,11 +444,7 @@ let merged_trace t =
 
 type soft = {
   so_outcome : Kernel.outcome option;
-  so_exit : int option;
-  so_killed : string option;
-  so_faults : int;
-  so_hint : int;
-  so_vmas : Vma.t list;  (* deep-copied: prot mutates *)
+  so_proc : Proc.state option;
   so_pool_next : int;
   so_qtarget : int;
   so_sd_sent : int;
@@ -463,19 +459,8 @@ type image = {
   im_barriers : int;
 }
 
-let copy_vma (v : Vma.t) =
-  { v with Vma.prot = v.Vma.prot }
-
 let soft_of s =
-  let exit_, killed, faults, hint, vmas =
-    match s.proc with
-    | Some p ->
-        ( p.Proc.exit_code, p.Proc.killed, p.Proc.fault_count,
-          p.Proc.mmap_hint, List.map copy_vma p.Proc.vmas )
-    | None -> (None, None, 0, 0, [])
-  in
-  { so_outcome = s.outcome; so_exit = exit_; so_killed = killed;
-    so_faults = faults; so_hint = hint; so_vmas = vmas;
+  { so_outcome = s.outcome; so_proc = Option.map Proc.capture s.proc;
     so_pool_next = s.pool_next; so_qtarget = s.qtarget;
     so_sd_sent = s.sd_sent; so_sd_received = s.sd_received;
     so_stall_barriers = s.stall_barriers }
@@ -501,14 +486,9 @@ let restore t img =
       Lz_snap.Snapshot.restore_core s.core img.im_cores.(i);
       let so = img.im_soft.(i) in
       s.outcome <- so.so_outcome;
-      (match s.proc with
-      | Some p ->
-          p.Proc.exit_code <- so.so_exit;
-          p.Proc.killed <- so.so_killed;
-          p.Proc.fault_count <- so.so_faults;
-          p.Proc.mmap_hint <- so.so_hint;
-          p.Proc.vmas <- List.map copy_vma so.so_vmas
-      | None -> ());
+      (match (s.proc, so.so_proc) with
+      | Some p, Some st -> Proc.restore p st
+      | _ -> ());
       s.pool_next <- so.so_pool_next;
       s.qtarget <- so.so_qtarget;
       s.sd_sent <- so.so_sd_sent;

@@ -115,7 +115,9 @@ val merged_trace : t -> (int * Lz_trace.Trace.event) list
 type image
 (** Every core's architectural state (regs, sysregs, TLB, PMU, banked
     redistributor + distributor, timer), the shared physical memory
-    (CoW, O(dirty) restore), and per-slot scheduler soft state. *)
+    (CoW, O(dirty) restore), per-slot scheduler soft state, and each
+    assigned process's bookkeeping ({!Lz_kernel.Proc.capture}: VMAs,
+    exit and kill status, fault count, mmap hint and output). *)
 
 val capture : t -> image
 (** Raises [Invalid_argument] unless the machine is quiescent (no
@@ -123,8 +125,9 @@ val capture : t -> image
     after {!run} returns. *)
 
 val restore : t -> image -> unit
-(** Rewind to the image; the image stays live for further restores.
-    Clears [finished] so the machine can be re-run. *)
+(** Rewind to the image, each process's output included; the image
+    stays live for further restores. Clears [finished] so the machine
+    can be re-run. *)
 
 val release : t -> image -> unit
 (** Drop the image's memory pins. The image must not be used again. *)

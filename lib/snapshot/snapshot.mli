@@ -25,15 +25,16 @@
 (** {1 Core context} *)
 
 type core_state
-(** Architectural CPU context: registers, PSTATE, sysregs,
-    cycle/instruction counters, TLB image, PMU and GIC/timer state. *)
+(** Architectural CPU context: the task context of
+    {!Lz_cpu.Core.save_context} (registers, PC, SPs, PSTATE in its
+    lossless SPSR form, sysregs), cycle/instruction counters, EL1
+    routing and engine, TLB image, PMU and GIC/timer state. *)
 
 val capture_core : Lz_cpu.Core.t -> core_state
 
-val restore_core : ?tlb:bool -> Lz_cpu.Core.t -> core_state -> unit
-(** Restore in place and reset the fast-path caches. [~tlb:false]
-    leaves the core's TLB untouched (callers that restore it
-    separately, e.g. {!fork}'s VMID-retagged adoption). *)
+val restore_core : Lz_cpu.Core.t -> core_state -> unit
+(** Restore in place, TLB included, and reset the fast-path
+    caches. *)
 
 (** {1 Whole-machine snapshots} *)
 
@@ -72,14 +73,17 @@ val same_frame : Lightzone.Kmod.t -> t -> int -> bool
     per-frame as it writes. *)
 
 val fork : Lightzone.Kmod.t -> t -> Lightzone.Kmod.t
-(** [fork z s] builds a new machine from image [s] of zone [z], under
-    a fresh VMID (same stage-2 tree, re-tagged VTTBR): own physical
-    view, own core, own TLB adopted from the warm image (entries
-    retagged to the fork's VMID — LightZone's lazily-mapped global
-    pages make the TLB semi-architectural, so a cold fork would
-    re-fault and diverge), own kernel/process
-    records, own page-table registry and protection shadow. The
-    [on_irq]/[on_quiescent]/[custom_trap]/[on_tick] hooks are not
+(** [fork z s] builds an empty shell — its own copy-on-write physical
+    view, TLB, core, and fresh process, kernel and zone containers —
+    and runs the same restore {!restore} runs to make it equal image
+    [s] of zone [z]. The one step only a fork takes is its VMID: a
+    fresh one (same stage-2 tree, re-tagged VTTBR), with the image's
+    TLB adopted under it (entries retagged — LightZone's
+    lazily-mapped global pages make the TLB semi-architectural, so a
+    cold fork would re-fault and diverge). Page-table records are
+    plain values shared by the source, the image and every fork; each
+    reads them through its own memory view and fake-address handle.
+    The [on_irq]/[on_quiescent]/[custom_trap]/[on_tick] hooks are not
     carried over (they close over the source machine); reattach on
     the fork if needed. Raises [Invalid_argument] for Lowvisor-backed
     (guest) zones.

@@ -285,6 +285,44 @@ let test_snapshot_restore_run () =
   check_bool "uninterrupted run: same outcomes" true (o1 = oc);
   check_bool "uninterrupted run: same digests" true (d1 = Smp.digests c)
 
+(* The image holds each process's output too: a machine restored to
+   an image taken before a write prints nothing, and running it again
+   prints the write once, not on top of the abandoned timeline's. *)
+let test_snapshot_rewinds_output () =
+  let t = Smp.create ~cores:2 ~quantum:2_000 () in
+  let procs =
+    List.init 2 (fun i ->
+        let kernel = Kernel.create (Smp.slot_machine t i) Kernel.Host_vhe in
+        let proc = Kernel.create_process kernel in
+        ignore (Kernel.map_anon kernel proc ~at:data_va ~len:0x1000 Vma.rw);
+        ignore
+          (Kernel.map_anon kernel proc ~at:(stack_top - 0x10000)
+             ~len:0x10000 Vma.rw);
+        Kernel.write_user kernel proc ~va:data_va
+          (Bytes.of_string (Printf.sprintf "core %d\n" i));
+        Kernel.load_program kernel proc ~va:code_va
+          Insn.
+            [ Movz (0, 1, 0); Movz (1, data_va lsr 16, 16); Movz (2, 7, 0);
+              Movz (8, Kernel.Nr.write, 0); Svc 0;
+              Movz (8, Kernel.Nr.exit, 0); Movz (0, 0, 0); Svc 0 ];
+        Smp.assign ~pool:16 t i kernel proc ~entry:code_va ~sp:stack_top;
+        proc)
+  in
+  let outputs () =
+    List.map (fun p -> Buffer.contents p.Proc.output) procs
+  in
+  let check what want =
+    Alcotest.(check (list string)) what want (outputs ())
+  in
+  let img = Smp.capture t in
+  ignore (Smp.run t);
+  check "first run" [ "core 0\n"; "core 1\n" ];
+  Smp.restore t img;
+  check "restored" [ ""; "" ];
+  ignore (Smp.run t);
+  check "run again" [ "core 0\n"; "core 1\n" ];
+  Smp.release t img
+
 (* ------------------------------------------------------------------ *)
 (* Two cores running the Table 5 gate workload concurrently (shared
    zone, two threads via Kmod.new_thread, interleaved slices): each
@@ -446,7 +484,9 @@ let () =
             test_sgi_irm_broadcast ] );
       ( "snapshot",
         [ Alcotest.test_case "capture/restore/run" `Quick
-            test_snapshot_restore_run ] );
+            test_snapshot_restore_run;
+          Alcotest.test_case "restore rewinds output" `Quick
+            test_snapshot_rewinds_output ] );
       ( "table5",
         [ Alcotest.test_case "two cores, per-core attribution" `Quick
             test_table5_two_cores ] ) ]
