@@ -81,241 +81,99 @@ type enc = { op0 : int; op1 : int; crn : int; crm : int; op2 : int }
 
 let enc op0 op1 crn crm op2 = { op0; op1; crn; crm; op2 }
 
-(* Encodings from the ARMv8-A system register index. *)
-let encoding = function
-  | TTBR0_EL1 -> enc 3 0 2 0 0
-  | TTBR1_EL1 -> enc 3 0 2 0 1
-  | TCR_EL1 -> enc 3 0 2 0 2
-  | SCTLR_EL1 -> enc 3 0 1 0 0
-  | MAIR_EL1 -> enc 3 0 10 2 0
-  | VBAR_EL1 -> enc 3 0 12 0 0
-  | ESR_EL1 -> enc 3 0 5 2 0
-  | ELR_EL1 -> enc 3 0 4 0 1
-  | SPSR_EL1 -> enc 3 0 4 0 0
-  | FAR_EL1 -> enc 3 0 6 0 0
-  | SP_EL0 -> enc 3 0 4 1 0
-  | SP_EL1 -> enc 3 4 4 1 0
-  | CONTEXTIDR_EL1 -> enc 3 0 13 0 1
-  | CPACR_EL1 -> enc 3 0 1 0 2
-  | CNTKCTL_EL1 -> enc 3 0 14 1 0
-  | TPIDR_EL0 -> enc 3 3 13 0 2
-  | TPIDRRO_EL0 -> enc 3 3 13 0 3
-  | CNTVCT_EL0 -> enc 3 3 14 0 2
-  | CNTFRQ_EL0 -> enc 3 3 14 0 0
-  | FPCR -> enc 3 3 4 4 0
-  | FPSR -> enc 3 3 4 4 1
-  | NZCV -> enc 3 3 4 2 0
-  | DAIF -> enc 3 3 4 2 1
-  | DBGWVR0_EL1 -> enc 2 0 0 0 6
-  | DBGWVR1_EL1 -> enc 2 0 0 1 6
-  | DBGWVR2_EL1 -> enc 2 0 0 2 6
-  | DBGWVR3_EL1 -> enc 2 0 0 3 6
-  | DBGWCR0_EL1 -> enc 2 0 0 0 7
-  | DBGWCR1_EL1 -> enc 2 0 0 1 7
-  | DBGWCR2_EL1 -> enc 2 0 0 2 7
-  | DBGWCR3_EL1 -> enc 2 0 0 3 7
-  | MDSCR_EL1 -> enc 2 0 0 2 2
-  | HCR_EL2 -> enc 3 4 1 1 0
-  | VTTBR_EL2 -> enc 3 4 2 1 0
-  | VTCR_EL2 -> enc 3 4 2 1 2
-  | TTBR0_EL2 -> enc 3 4 2 0 0
-  | TCR_EL2 -> enc 3 4 2 0 2
-  | SCTLR_EL2 -> enc 3 4 1 0 0
-  | VBAR_EL2 -> enc 3 4 12 0 0
-  | ESR_EL2 -> enc 3 4 5 2 0
-  | ELR_EL2 -> enc 3 4 4 0 1
-  | SPSR_EL2 -> enc 3 4 4 0 0
-  | FAR_EL2 -> enc 3 4 6 0 0
-  | HPFAR_EL2 -> enc 3 4 6 0 4
-  | CPTR_EL2 -> enc 3 4 1 1 2
-  | MDCR_EL2 -> enc 3 4 1 1 1
-  | TPIDR_EL2 -> enc 3 4 13 0 2
-  | CNTHCTL_EL2 -> enc 3 4 14 1 0
-  | VPIDR_EL2 -> enc 3 4 0 0 0
-  | VMPIDR_EL2 -> enc 3 4 0 0 5
-  | PMCR_EL0 -> enc 3 3 9 12 0
-  | PMCNTENSET_EL0 -> enc 3 3 9 12 1
-  | PMCNTENCLR_EL0 -> enc 3 3 9 12 2
-  | PMCCNTR_EL0 -> enc 3 3 9 13 0
-  | PMEVCNTR0_EL0 -> enc 3 3 14 8 0
-  | PMEVCNTR1_EL0 -> enc 3 3 14 8 1
-  | PMEVCNTR2_EL0 -> enc 3 3 14 8 2
-  | PMEVCNTR3_EL0 -> enc 3 3 14 8 3
-  | PMEVCNTR4_EL0 -> enc 3 3 14 8 4
-  | PMEVCNTR5_EL0 -> enc 3 3 14 8 5
-  | PMEVTYPER0_EL0 -> enc 3 3 14 12 0
-  | PMEVTYPER1_EL0 -> enc 3 3 14 12 1
-  | PMEVTYPER2_EL0 -> enc 3 3 14 12 2
-  | PMEVTYPER3_EL0 -> enc 3 3 14 12 3
-  | PMEVTYPER4_EL0 -> enc 3 3 14 12 4
-  | PMEVTYPER5_EL0 -> enc 3 3 14 12 5
-  | PMOVSCLR_EL0 -> enc 3 3 9 12 3
-  | PMOVSSET_EL0 -> enc 3 3 9 14 3
-  | PMINTENSET_EL1 -> enc 3 0 9 14 1
-  | PMINTENCLR_EL1 -> enc 3 0 9 14 2
-  | CNTP_TVAL_EL0 -> enc 3 3 14 2 0
-  | CNTP_CTL_EL0 -> enc 3 3 14 2 1
-  | CNTP_CVAL_EL0 -> enc 3 3 14 2 2
-  | ICC_PMR_EL1 -> enc 3 0 4 6 0
-  | ICC_IAR1_EL1 -> enc 3 0 12 12 0
-  | ICC_EOIR1_EL1 -> enc 3 0 12 12 1
-  | ICC_HPPIR1_EL1 -> enc 3 0 12 12 2
-  | ICC_BPR1_EL1 -> enc 3 0 12 12 3
-  | ICC_CTLR_EL1 -> enc 3 0 12 12 4
-  | ICC_SRE_EL1 -> enc 3 0 12 12 5
-  | ICC_IGRPEN1_EL1 -> enc 3 0 12 12 7
-  | ICC_RPR_EL1 -> enc 3 0 12 11 3
-  | ICC_SGI1R_EL1 -> enc 3 0 12 11 5
+(* Every register with its name and its encoding from the ARMv8-A
+   system register index, in declaration order: a register's position
+   here is its [index], the slot it takes in a register file. *)
+let table =
+  [|
+    (TTBR0_EL1, "TTBR0_EL1", enc 3 0 2 0 0);
+    (TTBR1_EL1, "TTBR1_EL1", enc 3 0 2 0 1);
+    (TCR_EL1, "TCR_EL1", enc 3 0 2 0 2);
+    (SCTLR_EL1, "SCTLR_EL1", enc 3 0 1 0 0);
+    (MAIR_EL1, "MAIR_EL1", enc 3 0 10 2 0);
+    (VBAR_EL1, "VBAR_EL1", enc 3 0 12 0 0);
+    (ESR_EL1, "ESR_EL1", enc 3 0 5 2 0);
+    (ELR_EL1, "ELR_EL1", enc 3 0 4 0 1);
+    (SPSR_EL1, "SPSR_EL1", enc 3 0 4 0 0);
+    (FAR_EL1, "FAR_EL1", enc 3 0 6 0 0);
+    (SP_EL0, "SP_EL0", enc 3 0 4 1 0);
+    (SP_EL1, "SP_EL1", enc 3 4 4 1 0);
+    (CONTEXTIDR_EL1, "CONTEXTIDR_EL1", enc 3 0 13 0 1);
+    (CPACR_EL1, "CPACR_EL1", enc 3 0 1 0 2);
+    (CNTKCTL_EL1, "CNTKCTL_EL1", enc 3 0 14 1 0);
+    (TPIDR_EL0, "TPIDR_EL0", enc 3 3 13 0 2);
+    (TPIDRRO_EL0, "TPIDRRO_EL0", enc 3 3 13 0 3);
+    (CNTVCT_EL0, "CNTVCT_EL0", enc 3 3 14 0 2);
+    (CNTFRQ_EL0, "CNTFRQ_EL0", enc 3 3 14 0 0);
+    (FPCR, "FPCR", enc 3 3 4 4 0);
+    (FPSR, "FPSR", enc 3 3 4 4 1);
+    (NZCV, "NZCV", enc 3 3 4 2 0);
+    (DAIF, "DAIF", enc 3 3 4 2 1);
+    (DBGWVR0_EL1, "DBGWVR0_EL1", enc 2 0 0 0 6);
+    (DBGWVR1_EL1, "DBGWVR1_EL1", enc 2 0 0 1 6);
+    (DBGWVR2_EL1, "DBGWVR2_EL1", enc 2 0 0 2 6);
+    (DBGWVR3_EL1, "DBGWVR3_EL1", enc 2 0 0 3 6);
+    (DBGWCR0_EL1, "DBGWCR0_EL1", enc 2 0 0 0 7);
+    (DBGWCR1_EL1, "DBGWCR1_EL1", enc 2 0 0 1 7);
+    (DBGWCR2_EL1, "DBGWCR2_EL1", enc 2 0 0 2 7);
+    (DBGWCR3_EL1, "DBGWCR3_EL1", enc 2 0 0 3 7);
+    (MDSCR_EL1, "MDSCR_EL1", enc 2 0 0 2 2);
+    (HCR_EL2, "HCR_EL2", enc 3 4 1 1 0);
+    (VTTBR_EL2, "VTTBR_EL2", enc 3 4 2 1 0);
+    (VTCR_EL2, "VTCR_EL2", enc 3 4 2 1 2);
+    (TTBR0_EL2, "TTBR0_EL2", enc 3 4 2 0 0);
+    (TCR_EL2, "TCR_EL2", enc 3 4 2 0 2);
+    (SCTLR_EL2, "SCTLR_EL2", enc 3 4 1 0 0);
+    (VBAR_EL2, "VBAR_EL2", enc 3 4 12 0 0);
+    (ESR_EL2, "ESR_EL2", enc 3 4 5 2 0);
+    (ELR_EL2, "ELR_EL2", enc 3 4 4 0 1);
+    (SPSR_EL2, "SPSR_EL2", enc 3 4 4 0 0);
+    (FAR_EL2, "FAR_EL2", enc 3 4 6 0 0);
+    (HPFAR_EL2, "HPFAR_EL2", enc 3 4 6 0 4);
+    (CPTR_EL2, "CPTR_EL2", enc 3 4 1 1 2);
+    (MDCR_EL2, "MDCR_EL2", enc 3 4 1 1 1);
+    (TPIDR_EL2, "TPIDR_EL2", enc 3 4 13 0 2);
+    (CNTHCTL_EL2, "CNTHCTL_EL2", enc 3 4 14 1 0);
+    (VPIDR_EL2, "VPIDR_EL2", enc 3 4 0 0 0);
+    (VMPIDR_EL2, "VMPIDR_EL2", enc 3 4 0 0 5);
+    (PMCR_EL0, "PMCR_EL0", enc 3 3 9 12 0);
+    (PMCNTENSET_EL0, "PMCNTENSET_EL0", enc 3 3 9 12 1);
+    (PMCNTENCLR_EL0, "PMCNTENCLR_EL0", enc 3 3 9 12 2);
+    (PMCCNTR_EL0, "PMCCNTR_EL0", enc 3 3 9 13 0);
+    (PMEVCNTR0_EL0, "PMEVCNTR0_EL0", enc 3 3 14 8 0);
+    (PMEVCNTR1_EL0, "PMEVCNTR1_EL0", enc 3 3 14 8 1);
+    (PMEVCNTR2_EL0, "PMEVCNTR2_EL0", enc 3 3 14 8 2);
+    (PMEVCNTR3_EL0, "PMEVCNTR3_EL0", enc 3 3 14 8 3);
+    (PMEVCNTR4_EL0, "PMEVCNTR4_EL0", enc 3 3 14 8 4);
+    (PMEVCNTR5_EL0, "PMEVCNTR5_EL0", enc 3 3 14 8 5);
+    (PMEVTYPER0_EL0, "PMEVTYPER0_EL0", enc 3 3 14 12 0);
+    (PMEVTYPER1_EL0, "PMEVTYPER1_EL0", enc 3 3 14 12 1);
+    (PMEVTYPER2_EL0, "PMEVTYPER2_EL0", enc 3 3 14 12 2);
+    (PMEVTYPER3_EL0, "PMEVTYPER3_EL0", enc 3 3 14 12 3);
+    (PMEVTYPER4_EL0, "PMEVTYPER4_EL0", enc 3 3 14 12 4);
+    (PMEVTYPER5_EL0, "PMEVTYPER5_EL0", enc 3 3 14 12 5);
+    (PMOVSCLR_EL0, "PMOVSCLR_EL0", enc 3 3 9 12 3);
+    (PMOVSSET_EL0, "PMOVSSET_EL0", enc 3 3 9 14 3);
+    (PMINTENSET_EL1, "PMINTENSET_EL1", enc 3 0 9 14 1);
+    (PMINTENCLR_EL1, "PMINTENCLR_EL1", enc 3 0 9 14 2);
+    (CNTP_TVAL_EL0, "CNTP_TVAL_EL0", enc 3 3 14 2 0);
+    (CNTP_CTL_EL0, "CNTP_CTL_EL0", enc 3 3 14 2 1);
+    (CNTP_CVAL_EL0, "CNTP_CVAL_EL0", enc 3 3 14 2 2);
+    (ICC_PMR_EL1, "ICC_PMR_EL1", enc 3 0 4 6 0);
+    (ICC_IAR1_EL1, "ICC_IAR1_EL1", enc 3 0 12 12 0);
+    (ICC_EOIR1_EL1, "ICC_EOIR1_EL1", enc 3 0 12 12 1);
+    (ICC_HPPIR1_EL1, "ICC_HPPIR1_EL1", enc 3 0 12 12 2);
+    (ICC_BPR1_EL1, "ICC_BPR1_EL1", enc 3 0 12 12 3);
+    (ICC_CTLR_EL1, "ICC_CTLR_EL1", enc 3 0 12 12 4);
+    (ICC_SRE_EL1, "ICC_SRE_EL1", enc 3 0 12 12 5);
+    (ICC_IGRPEN1_EL1, "ICC_IGRPEN1_EL1", enc 3 0 12 12 7);
+    (ICC_RPR_EL1, "ICC_RPR_EL1", enc 3 0 12 11 3);
+    (ICC_SGI1R_EL1, "ICC_SGI1R_EL1", enc 3 0 12 11 5);
+  |]
 
-let pmu_event_counters = 6
-
-let pmevcntr = function
-  | 0 -> PMEVCNTR0_EL0
-  | 1 -> PMEVCNTR1_EL0
-  | 2 -> PMEVCNTR2_EL0
-  | 3 -> PMEVCNTR3_EL0
-  | 4 -> PMEVCNTR4_EL0
-  | 5 -> PMEVCNTR5_EL0
-  | n -> invalid_arg (Printf.sprintf "Sysreg.pmevcntr %d" n)
-
-let pmevtyper = function
-  | 0 -> PMEVTYPER0_EL0
-  | 1 -> PMEVTYPER1_EL0
-  | 2 -> PMEVTYPER2_EL0
-  | 3 -> PMEVTYPER3_EL0
-  | 4 -> PMEVTYPER4_EL0
-  | 5 -> PMEVTYPER5_EL0
-  | n -> invalid_arg (Printf.sprintf "Sysreg.pmevtyper %d" n)
-
-let pmev_slot = function
-  | PMEVCNTR0_EL0 | PMEVTYPER0_EL0 -> 0
-  | PMEVCNTR1_EL0 | PMEVTYPER1_EL0 -> 1
-  | PMEVCNTR2_EL0 | PMEVTYPER2_EL0 -> 2
-  | PMEVCNTR3_EL0 | PMEVTYPER3_EL0 -> 3
-  | PMEVCNTR4_EL0 | PMEVTYPER4_EL0 -> 4
-  | PMEVCNTR5_EL0 | PMEVTYPER5_EL0 -> 5
-  | _ -> invalid_arg "Sysreg.pmev_slot: not a PMEVCNTRn/PMEVTYPERn register"
-
-let all =
-  [ TTBR0_EL1; TTBR1_EL1; TCR_EL1; SCTLR_EL1; MAIR_EL1; VBAR_EL1;
-    ESR_EL1; ELR_EL1; SPSR_EL1; FAR_EL1; SP_EL0; SP_EL1; CONTEXTIDR_EL1;
-    CPACR_EL1; CNTKCTL_EL1; TPIDR_EL0; TPIDRRO_EL0; CNTVCT_EL0;
-    CNTFRQ_EL0; FPCR; FPSR; NZCV; DAIF; DBGWVR0_EL1; DBGWVR1_EL1;
-    DBGWVR2_EL1; DBGWVR3_EL1; DBGWCR0_EL1; DBGWCR1_EL1; DBGWCR2_EL1;
-    DBGWCR3_EL1; MDSCR_EL1; HCR_EL2; VTTBR_EL2; VTCR_EL2; TTBR0_EL2;
-    TCR_EL2; SCTLR_EL2; VBAR_EL2; ESR_EL2; ELR_EL2; SPSR_EL2; FAR_EL2;
-    HPFAR_EL2; CPTR_EL2; MDCR_EL2; TPIDR_EL2; CNTHCTL_EL2; VPIDR_EL2;
-    VMPIDR_EL2; PMCR_EL0; PMCNTENSET_EL0; PMCNTENCLR_EL0; PMCCNTR_EL0;
-    PMOVSCLR_EL0; PMOVSSET_EL0; PMINTENSET_EL1; PMINTENCLR_EL1;
-    CNTP_TVAL_EL0; CNTP_CTL_EL0; CNTP_CVAL_EL0; ICC_PMR_EL1;
-    ICC_IAR1_EL1; ICC_EOIR1_EL1; ICC_HPPIR1_EL1; ICC_BPR1_EL1;
-    ICC_CTLR_EL1; ICC_SRE_EL1; ICC_IGRPEN1_EL1; ICC_RPR_EL1;
-    ICC_SGI1R_EL1 ]
-  @ List.init pmu_event_counters pmevcntr
-  @ List.init pmu_event_counters pmevtyper
-
-(* The EL1 state a hypervisor context-switches on a world switch; this
-   is the set KVM saves/restores, which the Table 4 calibration counts. *)
-let el1_context =
-  [ TTBR0_EL1; TTBR1_EL1; TCR_EL1; SCTLR_EL1; MAIR_EL1; VBAR_EL1;
-    ESR_EL1; ELR_EL1; SPSR_EL1; FAR_EL1; SP_EL0; SP_EL1; CONTEXTIDR_EL1;
-    CPACR_EL1; CNTKCTL_EL1; TPIDR_EL0; TPIDRRO_EL0; MDSCR_EL1 ]
-
-let of_encoding e = List.find_opt (fun r -> encoding r = e) all
-
-let name = function
-  | TTBR0_EL1 -> "TTBR0_EL1"
-  | TTBR1_EL1 -> "TTBR1_EL1"
-  | TCR_EL1 -> "TCR_EL1"
-  | SCTLR_EL1 -> "SCTLR_EL1"
-  | MAIR_EL1 -> "MAIR_EL1"
-  | VBAR_EL1 -> "VBAR_EL1"
-  | ESR_EL1 -> "ESR_EL1"
-  | ELR_EL1 -> "ELR_EL1"
-  | SPSR_EL1 -> "SPSR_EL1"
-  | FAR_EL1 -> "FAR_EL1"
-  | SP_EL0 -> "SP_EL0"
-  | SP_EL1 -> "SP_EL1"
-  | CONTEXTIDR_EL1 -> "CONTEXTIDR_EL1"
-  | CPACR_EL1 -> "CPACR_EL1"
-  | CNTKCTL_EL1 -> "CNTKCTL_EL1"
-  | TPIDR_EL0 -> "TPIDR_EL0"
-  | TPIDRRO_EL0 -> "TPIDRRO_EL0"
-  | CNTVCT_EL0 -> "CNTVCT_EL0"
-  | CNTFRQ_EL0 -> "CNTFRQ_EL0"
-  | FPCR -> "FPCR"
-  | FPSR -> "FPSR"
-  | NZCV -> "NZCV"
-  | DAIF -> "DAIF"
-  | DBGWVR0_EL1 -> "DBGWVR0_EL1"
-  | DBGWVR1_EL1 -> "DBGWVR1_EL1"
-  | DBGWVR2_EL1 -> "DBGWVR2_EL1"
-  | DBGWVR3_EL1 -> "DBGWVR3_EL1"
-  | DBGWCR0_EL1 -> "DBGWCR0_EL1"
-  | DBGWCR1_EL1 -> "DBGWCR1_EL1"
-  | DBGWCR2_EL1 -> "DBGWCR2_EL1"
-  | DBGWCR3_EL1 -> "DBGWCR3_EL1"
-  | MDSCR_EL1 -> "MDSCR_EL1"
-  | HCR_EL2 -> "HCR_EL2"
-  | VTTBR_EL2 -> "VTTBR_EL2"
-  | VTCR_EL2 -> "VTCR_EL2"
-  | TTBR0_EL2 -> "TTBR0_EL2"
-  | TCR_EL2 -> "TCR_EL2"
-  | SCTLR_EL2 -> "SCTLR_EL2"
-  | VBAR_EL2 -> "VBAR_EL2"
-  | ESR_EL2 -> "ESR_EL2"
-  | ELR_EL2 -> "ELR_EL2"
-  | SPSR_EL2 -> "SPSR_EL2"
-  | FAR_EL2 -> "FAR_EL2"
-  | HPFAR_EL2 -> "HPFAR_EL2"
-  | CPTR_EL2 -> "CPTR_EL2"
-  | MDCR_EL2 -> "MDCR_EL2"
-  | TPIDR_EL2 -> "TPIDR_EL2"
-  | CNTHCTL_EL2 -> "CNTHCTL_EL2"
-  | VPIDR_EL2 -> "VPIDR_EL2"
-  | VMPIDR_EL2 -> "VMPIDR_EL2"
-  | PMCR_EL0 -> "PMCR_EL0"
-  | PMCNTENSET_EL0 -> "PMCNTENSET_EL0"
-  | PMCNTENCLR_EL0 -> "PMCNTENCLR_EL0"
-  | PMCCNTR_EL0 -> "PMCCNTR_EL0"
-  | PMEVCNTR0_EL0 -> "PMEVCNTR0_EL0"
-  | PMEVCNTR1_EL0 -> "PMEVCNTR1_EL0"
-  | PMEVCNTR2_EL0 -> "PMEVCNTR2_EL0"
-  | PMEVCNTR3_EL0 -> "PMEVCNTR3_EL0"
-  | PMEVCNTR4_EL0 -> "PMEVCNTR4_EL0"
-  | PMEVCNTR5_EL0 -> "PMEVCNTR5_EL0"
-  | PMEVTYPER0_EL0 -> "PMEVTYPER0_EL0"
-  | PMEVTYPER1_EL0 -> "PMEVTYPER1_EL0"
-  | PMEVTYPER2_EL0 -> "PMEVTYPER2_EL0"
-  | PMEVTYPER3_EL0 -> "PMEVTYPER3_EL0"
-  | PMEVTYPER4_EL0 -> "PMEVTYPER4_EL0"
-  | PMEVTYPER5_EL0 -> "PMEVTYPER5_EL0"
-  | PMOVSCLR_EL0 -> "PMOVSCLR_EL0"
-  | PMOVSSET_EL0 -> "PMOVSSET_EL0"
-  | PMINTENSET_EL1 -> "PMINTENSET_EL1"
-  | PMINTENCLR_EL1 -> "PMINTENCLR_EL1"
-  | CNTP_TVAL_EL0 -> "CNTP_TVAL_EL0"
-  | CNTP_CTL_EL0 -> "CNTP_CTL_EL0"
-  | CNTP_CVAL_EL0 -> "CNTP_CVAL_EL0"
-  | ICC_PMR_EL1 -> "ICC_PMR_EL1"
-  | ICC_IAR1_EL1 -> "ICC_IAR1_EL1"
-  | ICC_EOIR1_EL1 -> "ICC_EOIR1_EL1"
-  | ICC_HPPIR1_EL1 -> "ICC_HPPIR1_EL1"
-  | ICC_BPR1_EL1 -> "ICC_BPR1_EL1"
-  | ICC_CTLR_EL1 -> "ICC_CTLR_EL1"
-  | ICC_SRE_EL1 -> "ICC_SRE_EL1"
-  | ICC_IGRPEN1_EL1 -> "ICC_IGRPEN1_EL1"
-  | ICC_RPR_EL1 -> "ICC_RPR_EL1"
-  | ICC_SGI1R_EL1 -> "ICC_SGI1R_EL1"
-
-let[@inline] min_el r =
-  match (encoding r).op1 with
-  | 3 -> Pstate.EL0
-  | 4 -> Pstate.EL2
-  | _ -> Pstate.EL1
-
-(* Dense index for the array-backed register file. Must cover every
-   constructor of [t]; [nregs] bounds the array. *)
+(* A register's position in [table]. Kept as a [match]: the
+   per-instruction register-file accesses compile it without reading
+   the table. *)
 let index = function
   | TTBR0_EL1 -> 0
   | TTBR1_EL1 -> 1
@@ -401,7 +259,42 @@ let index = function
   | ICC_RPR_EL1 -> 81
   | ICC_SGI1R_EL1 -> 82
 
-let nregs = 83
+let nregs = Array.length table
+
+let encoding r =
+  let _, _, e = table.(index r) in
+  e
+
+let name r =
+  let _, n, _ = table.(index r) in
+  n
+
+let all = Array.to_list (Array.map (fun (r, _, _) -> r) table)
+
+let of_encoding e =
+  Array.find_map (fun (r, _, e') -> if e' = e then Some r else None) table
+
+let pmev_slot = function
+  | PMEVCNTR0_EL0 | PMEVTYPER0_EL0 -> 0
+  | PMEVCNTR1_EL0 | PMEVTYPER1_EL0 -> 1
+  | PMEVCNTR2_EL0 | PMEVTYPER2_EL0 -> 2
+  | PMEVCNTR3_EL0 | PMEVTYPER3_EL0 -> 3
+  | PMEVCNTR4_EL0 | PMEVTYPER4_EL0 -> 4
+  | PMEVCNTR5_EL0 | PMEVTYPER5_EL0 -> 5
+  | _ -> invalid_arg "Sysreg.pmev_slot: not a PMEVCNTRn/PMEVTYPERn register"
+
+let[@inline] min_el r =
+  match (encoding r).op1 with
+  | 3 -> Pstate.EL0
+  | 4 -> Pstate.EL2
+  | _ -> Pstate.EL1
+
+(* The EL1 state a hypervisor context-switches on a world switch; this
+   is the set KVM saves/restores, which the Table 4 calibration counts. *)
+let el1_context =
+  [ TTBR0_EL1; TTBR1_EL1; TCR_EL1; SCTLR_EL1; MAIR_EL1; VBAR_EL1;
+    ESR_EL1; ELR_EL1; SPSR_EL1; FAR_EL1; SP_EL0; SP_EL1; CONTEXTIDR_EL1;
+    CPACR_EL1; CNTKCTL_EL1; TPIDR_EL0; TPIDRRO_EL0; MDSCR_EL1 ]
 
 (* Generation counters let cached derivations (the core's memoized
    MMU context, the watchpoint-armed flag) detect staleness without

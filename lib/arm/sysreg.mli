@@ -112,7 +112,11 @@ val min_el : t -> Pstate.el
     architecturally (ignoring HCR_EL2 trap configuration). *)
 
 val all : t list
-(** Every modelled register, for iteration in context-switch code. *)
+(** Every modelled register, in declaration order. *)
+
+val index : t -> int
+(** The register's slot in a register {!file}: its position in
+    {!all}. *)
 
 val el1_context : t list
 (** The EL1 register set a hypervisor must context-switch between a VM

@@ -77,6 +77,21 @@ let test_sysreg_encodings_unique () =
   let uniq = List.sort_uniq compare encs in
   check_int "all encodings distinct" (List.length encs) (List.length uniq)
 
+(* [index] is a hand-written [match] beside the register table: it
+   must give every register its position in the table, which is what
+   [all] lists, and the register file must keep each slot apart. *)
+let test_sysreg_index () =
+  List.iteri
+    (fun i r -> check_int (Sysreg.name r) i (Sysreg.index r))
+    Sysreg.all;
+  check_int "every constructor listed" 83 (List.length Sysreg.all);
+  let f = Sysreg.create_file () in
+  List.iteri (fun i r -> Sysreg.write f r (i + 1)) Sysreg.all;
+  List.iteri
+    (fun i r -> check_int ("file slot " ^ Sysreg.name r) (i + 1)
+        (Sysreg.read f r))
+    Sysreg.all
+
 let test_sysreg_min_el () =
   let open Sysreg in
   Alcotest.(check string) "ttbr0 el1" "EL1"
@@ -260,7 +275,9 @@ let () =
           Alcotest.test_case "encodings unique" `Quick
             test_sysreg_encodings_unique;
           Alcotest.test_case "min el" `Quick test_sysreg_min_el;
-          Alcotest.test_case "register file" `Quick test_sysreg_file ] );
+          Alcotest.test_case "register file" `Quick test_sysreg_file;
+          Alcotest.test_case "index is the table position" `Quick
+            test_sysreg_index ] );
       ( "encoding",
         [ Alcotest.test_case "golden encodings" `Quick test_golden_encodings;
           Alcotest.test_case "golden decodings" `Quick test_golden_decodings;
