@@ -1,6 +1,6 @@
-.PHONY: all build test bench bench-smoke engine-diff fleet fleet-smoke \
-	fuzz fuzz-smoke smp smp-smoke scale scale-smoke profile snap-demo \
-	trace-demo clean
+.PHONY: all build test bench bench-smoke engine-diff sim-digests fleet \
+	fleet-smoke fuzz fuzz-smoke smp smp-smoke scale scale-smoke profile \
+	snap-demo trace-demo clean
 
 all: build
 
@@ -54,6 +54,28 @@ engine-diff: build
 	  echo "engine-diff: LZ_ENGINE=bogus was accepted"; exit 1; \
 	fi; \
 	echo "engine-diff: slow, per-insn and blocks outputs identical"
+
+# Simulated outputs of the host-time benchmark: each hostbench
+# workload, run untraced for a fixed op count at seed 7, must report a
+# sim_digest starting with the value ROADMAP.md pins, so a change meant
+# to move only host time fails here if it moves a simulated number.
+# Outputs land in _build/sim-digests/<workload>.{out,err}.
+sim-digests:
+	@set -e; out=$(CURDIR)/_build/sim-digests; mkdir -p $$out; \
+	for pin in switch128:300:61c19195 churn4096:300:85bb39cc \
+	    fuzz:60:abdda04b; do \
+	  w=$${pin%%:*}; ops=$$(echo $$pin | cut -d: -f2); want=$${pin##*:}; \
+	  bash hostbench/run.sh --workload $$w --seed 7 --ops $$ops --trace 0 \
+	    > $$out/$$w.out 2> $$out/$$w.err || \
+	    { tail -20 $$out/$$w.err; exit 1; }; \
+	  got=$$(sed -n 's/.*"sim_digest": "\([0-9a-f]*\)".*/\1/p' \
+	    $$out/$$w.out); \
+	  case "$$got" in \
+	    $$want*) echo "sim-digests: $$w $$got";; \
+	    *) echo "sim-digests: $$w sim_digest '$$got', pinned $$want"; \
+	       exit 1;; \
+	  esac; \
+	done
 
 # Fleet-forking benchmark: 1024 instances off one warm 128-domain
 # image, writes BENCH_fleet.json in the repo root; fails if forking

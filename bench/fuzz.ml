@@ -3,7 +3,7 @@
    CI-sized 2000), corpus under fuzz-corpus/. Reports cases/sec, the
    coverage curve, the corpus size and a digest of its entries, the
    cases run per kind, the full sorted coverage-key set, and the GC's
-   promoted words and major collections per case. Any engine
+   minor and promoted words and major collections per case. Any engine
    divergence fails the run; `--check` also fails on losing a
    coverage key of the committed report of the same mode, or on any
    change to its Exact rows (Report). `lzctl fuzz run` takes another
@@ -90,7 +90,9 @@ let () =
               int Exact "divergences" divergences;
               int Exact "coverage_keys" nkeys ]
        :: row "gc"
-            [ float ~dp:1 Info "promoted_words_per_case"
+            [ float ~dp:1 Info "minor_words_per_case"
+                (per_case (gc1.Gc.minor_words -. gc0.Gc.minor_words));
+              float ~dp:1 Info "promoted_words_per_case"
                 (per_case (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
               float ~dp:4 Info "major_gcs_per_case"
                 (per_case

@@ -362,6 +362,9 @@ let run_one env f base tr0 reset (c : Fuzz_case.t) engine =
 type divergence =
   { field : string; a : Core.engine; b : Core.engine; detail : string }
 
+let equal_core_event ((c1 : int), e1) (c2, e2) =
+  c1 = c2 && Trace.equal_event e1 e2
+
 let compare_runs (r1 : run) (r2 : run) =
   let mk field detail = Some { field; a = r1.engine; b = r2.engine; detail } in
   if r1.outcome <> r2.outcome then
@@ -372,7 +375,7 @@ let compare_runs (r1 : run) (r2 : run) =
     mk "insns" (Printf.sprintf "%d vs %d" r1.insns r2.insns)
   else if r1.cycles <> r2.cycles then
     mk "cycles" (Printf.sprintf "%d vs %d" r1.cycles r2.cycles)
-  else if r1.ev_json <> r2.ev_json then begin
+  else if not (List.equal equal_core_event r1.ev_json r2.ev_json) then begin
     let json (core, e) = Printf.sprintf "%d:%s" core (Trace.event_to_json e) in
     let rec first i a b =
       match (a, b) with
@@ -380,7 +383,8 @@ let compare_runs (r1 : run) (r2 : run) =
       | x :: _, [] | [], x :: _ ->
           Printf.sprintf "event %d only on one side: %s" i (json x)
       | x :: xs, y :: ys ->
-          if x <> y then Printf.sprintf "event %d: %s vs %s" i (json x) (json y)
+          if not (equal_core_event x y) then
+            Printf.sprintf "event %d: %s vs %s" i (json x) (json y)
           else first (i + 1) xs ys
     in
     mk "events" (first 0 r1.ev_json r2.ev_json)
@@ -444,7 +448,8 @@ let keys_of (c : Fuzz_case.t) (b : run) =
   if b.fp.Fastpath.side_exits > 0 then add "blk:side-exits";
   if b.fp.Fastpath.chain_follows > 0 then add "blk:chains";
   if b.fp.Fastpath.retrains > 0 then add "blk:retrains";
-  List.sort_uniq compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+  List.sort_uniq String.compare
+    (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
 
 let signature keys = Digest.to_hex (Digest.string (String.concat "\n" keys))
 
@@ -668,7 +673,7 @@ let run_smp_engine env (c : Fuzz_case.t) engine =
     cycles = Array.fold_left (fun a core -> a + core.Core.cycles) 0 cores;
     insns = Array.fold_left (fun a core -> a + core.Core.insns) 0 cores;
     ev_json = !ev_json;
-    span_rows = List.sort_uniq compare !rows;
+    span_rows = List.sort_uniq String.compare !rows;
     fp = Fastpath.stats cores.(0).Core.fp;
   }
 

@@ -49,9 +49,9 @@ type run = {
   cycles : int;
   insns : int;
   ev_json : (int * Lz_trace.Trace.event) list;
-      (** the traced events as (core, event) pairs, compared
-          structurally across engines; the core is 0 outside
-          smp-race. *)
+      (** the traced events as (core, event) pairs, compared across
+          engines with {!Lz_trace.Trace.equal_event}; the core is 0
+          outside smp-race. *)
   span_rows : string list;
       (** span names of the run's trace ({!Lz_trace.Span.of_trace}),
           for the blocks run only: the coverage keys read no other

@@ -24,9 +24,12 @@
 type t = {
   space : int;  (* number of allocatable ASIDs: (1 lsl bits) - lo *)
   lo : int;  (* lowest allocatable ASID (0 is reserved for TTBR1) *)
-  live : Bytes.t;  (* '\001' = currently held by a zone *)
-  dirty : Bytes.t;  (* '\001' = freed since the last rollover flush *)
-  used : Bytes.t;  (* '\001' = handed out at least once, ever *)
+  mutable live : Bytes.t;  (* '\001' = currently held by a zone *)
+  mutable dirty : Bytes.t;  (* '\001' = freed since the last rollover flush *)
+  mutable used : Bytes.t;  (* '\001' = handed out at least once, ever *)
+  (* Copy-on-write: [false] while the three bitmaps are shared with a
+     captured [state], which must never see a later write. *)
+  mutable owned : bool;
   mutable rotor : int;  (* next scan position, in [0, space) *)
   mutable live_count : int;
   mutable generation : int;
@@ -44,6 +47,7 @@ let create ?(bits = 14) ~flush () =
     live = Bytes.make space '\000';
     dirty = Bytes.make space '\000';
     used = Bytes.make space '\000';
+    owned = true;
     rotor = 0;
     live_count = 0;
     generation = 0;
@@ -56,7 +60,17 @@ let generation t = t.generation
 let rollovers t = t.rollovers
 let recycled t = t.recycled
 
+(* Every write to a bitmap goes through here first. *)
+let own t =
+  if not t.owned then begin
+    t.live <- Bytes.copy t.live;
+    t.dirty <- Bytes.copy t.dirty;
+    t.used <- Bytes.copy t.used;
+    t.owned <- true
+  end
+
 let rollover t =
+  own t;
   t.generation <- t.generation + 1;
   t.rollovers <- t.rollovers + 1;
   t.flush ();
@@ -90,6 +104,7 @@ let alloc t =
         | Some i -> i
         | None -> assert false (* live_count < space ⇒ a slot exists *))
   in
+  own t;
   Bytes.set t.live slot '\001';
   if Bytes.get t.used slot = '\001' then t.recycled <- t.recycled + 1
   else Bytes.set t.used slot '\001';
@@ -102,6 +117,7 @@ let free t asid =
   if slot < 0 || slot >= t.space then invalid_arg "Asid_alloc.free: range";
   if Bytes.get t.live slot = '\000' then
     invalid_arg "Asid_alloc.free: ASID not live";
+  own t;
   Bytes.set t.live slot '\000';
   (* Deferred invalidation: the ASID keeps its (unreachable) TLB
      entries until the next rollover flush cleans them wholesale. *)
@@ -115,6 +131,9 @@ let is_live t asid =
 (* ------------------------------------------------------------------ *)
 (* Snapshot support *)
 
+(* A state shares the bitmaps: capture, restore and [of_state] are
+   pointer copies, and the allocator copies the bitmaps at its next
+   write ([own]). *)
 type state = {
   st_live : Bytes.t;
   st_dirty : Bytes.t;
@@ -127,10 +146,11 @@ type state = {
 }
 
 let capture t =
+  t.owned <- false;
   {
-    st_live = Bytes.copy t.live;
-    st_dirty = Bytes.copy t.dirty;
-    st_used = Bytes.copy t.used;
+    st_live = t.live;
+    st_dirty = t.dirty;
+    st_used = t.used;
     st_rotor = t.rotor;
     st_live_count = t.live_count;
     st_generation = t.generation;
@@ -139,17 +159,30 @@ let capture t =
   }
 
 let restore t s =
-  Bytes.blit s.st_live 0 t.live 0 t.space;
-  Bytes.blit s.st_dirty 0 t.dirty 0 t.space;
-  Bytes.blit s.st_used 0 t.used 0 t.space;
+  if Bytes.length s.st_live <> t.space then
+    invalid_arg "Asid_alloc.restore: width";
+  t.live <- s.st_live;
+  t.dirty <- s.st_dirty;
+  t.used <- s.st_used;
+  t.owned <- false;
   t.rotor <- s.st_rotor;
   t.live_count <- s.st_live_count;
   t.generation <- s.st_generation;
   t.rollovers <- s.st_rollovers;
   t.recycled <- s.st_recycled
 
-let state_bits s =
-  (* Recover the bit width from the captured arrays. *)
-  let space = Bytes.length s.st_live in
-  let rec go b = if (1 lsl b) - 1 >= space then b else go (b + 1) in
-  go 2
+let of_state s ~flush =
+  {
+    space = Bytes.length s.st_live;
+    lo = 1;
+    live = s.st_live;
+    dirty = s.st_dirty;
+    used = s.st_used;
+    owned = false;
+    rotor = s.st_rotor;
+    live_count = s.st_live_count;
+    generation = s.st_generation;
+    rollovers = s.st_rollovers;
+    recycled = s.st_recycled;
+    flush;
+  }

@@ -33,15 +33,21 @@ val rollovers : t -> int
 val recycled : t -> int
 (** Allocations that handed out a previously-used ASID. *)
 
-(** {1 Snapshot support} *)
+(** {1 Snapshot support}
+
+    The three bitmaps are copy-on-write: {!capture}, {!restore} and
+    {!of_state} share them by pointer, and the allocator copies them
+    before its next write, so no write after a capture or a restore
+    reaches the state. *)
 
 type state
 
 val capture : t -> state
 
 val restore : t -> state -> unit
-(** [t] must have the captured allocator's width: a forked machine
-    creates its allocator with {!state_bits} under its own flush
-    callback (its own VMID / TLB), then restores into it. *)
+(** Raises [Invalid_argument] unless [t] has the captured allocator's
+    width. *)
 
-val state_bits : state -> int
+val of_state : state -> flush:(unit -> unit) -> t
+(** A new allocator equal to the captured one, under its own [flush]
+    callback: a forked machine's, which flushes its own VMID. *)

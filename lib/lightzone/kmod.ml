@@ -380,22 +380,26 @@ let register_gate_entry t ~gate ~entry =
   | Some tr -> Trace.add_marker tr ~pc:entry (Trace.Gate_exit { gate })
   | None -> ()
 
+(* The markers at every gate's entry and check-phase addresses, which
+   delimit Fig. 2 phases ① and ②: a constant of the gate geometry,
+   built once per process (eagerly, so no domain forces a lazy) and
+   shared by every tracer [set_tracer] attaches. *)
+let gate_markers =
+  Trace.marker_set
+    (List.concat_map
+       (fun g ->
+         [ (Gate.gate_va g, Trace.Gate_entry { gate = g });
+           (Gate.gate_va g + Gate.phase2_off, Trace.Gate_check { gate = g }) ])
+       (List.init Gate.max_gates Fun.id))
+
 (* Attach an event tracer: the core emits trap/ERET/TTBR0 events, the
-   TLB timestamps its flushes, and PC markers at every gate's entry
-   and check-phase addresses delimit Fig. 2 phases ① and ②. Attach
+   TLB timestamps its flushes, and the gate markers go in by pointer
+   (a clone of an attached tracer already carries them). Attach
    before [Api.load_and_register] so gate registration can also mark
    the legitimate return sites. *)
 let set_tracer t tr =
   Core.set_tracer t.core tr;
-  match tr with
-  | None -> ()
-  | Some tracer ->
-      for g = 0 to Gate.max_gates - 1 do
-        Trace.add_marker tracer ~pc:(Gate.gate_va g)
-          (Trace.Gate_entry { gate = g });
-        Trace.add_marker tracer ~pc:(Gate.gate_va g + Gate.phase2_off)
-          (Trace.Gate_check { gate = g })
-      done
+  Option.iter (fun tracer -> Trace.add_markers tracer gate_markers) tr
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling *)

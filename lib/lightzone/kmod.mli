@@ -115,11 +115,14 @@ val register_gate_entry : t -> gate:int -> entry:int -> unit
     also places a [Gate_exit] marker at the entry. *)
 
 val set_tracer : t -> Lz_trace.Trace.t option -> unit
-(** Attach an event tracer to the process's core and TLB, and place PC
-    markers at every gate's entry and check-phase addresses so gate
-    passes decompose into Fig. 2 phases ① and ②. Attach before
-    registering gate entries so return sites get [Gate_exit] markers
-    too. *)
+(** Attach an event tracer to the process's core and TLB, and add the
+    PC markers at every gate's entry and check-phase addresses so gate
+    passes decompose into Fig. 2 phases ① and ②. The markers are one
+    set built at program start and added by pointer
+    ({!Lz_trace.Trace.add_markers}): attaching a fresh tracer, or a
+    {!Lz_trace.Trace.clone_config} of an attached one, is O(1). Attach
+    before registering gate entries so return sites get [Gate_exit]
+    markers too. *)
 
 (** {1 Running} *)
 

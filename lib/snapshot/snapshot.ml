@@ -226,9 +226,8 @@ let fork (z : Kmod.t) s =
       fake = Fake_phys.clone z.Kmod.fake;
       pgts = Zone_tab.create ();
       asids =
-        Asid_alloc.create ~bits:(Asid_alloc.state_bits s.z_asids)
-          ~flush:(fun () -> Tlb.flush_vmid tlb vmid)
-          ();
+        Asid_alloc.of_state s.z_asids
+          ~flush:(fun () -> Tlb.flush_vmid tlb vmid);
       asid_pgt = ref [||];
       shadow = ref !(z.Kmod.shadow);
       on_irq = None; on_quiescent = None }

@@ -36,6 +36,26 @@ type payload =
 
 type event = { seq : int; cycles : int; payload : payload }
 
+module Int_map = Map.Make (Int)
+
+(* The PC markers as one immutable value: a clone shares it by pointer,
+   and an addition writes a new value, so what one tracer adds never
+   reaches another. Lookups walk a balanced tree of int keys instead
+   of hashing. *)
+type markers = {
+  at : payload Int_map.t;  (* pc -> payload *)
+  (* Live marker count per 4 KiB VA page, so a block dispatcher can
+     decide with one lookup whether a whole block (blocks never cross
+     pages) needs per-instruction marker checks. *)
+  pages : int Int_map.t;
+  (* Shared sets merged in whole by [add_markers] (by pointer) whose
+     PCs no later [add_marker] replaced: merging one again is a
+     no-op. *)
+  sets : markers list;
+}
+
+let no_markers = { at = Int_map.empty; pages = Int_map.empty; sets = [] }
+
 type t = {
   (* Grown by doubling on demand, up to [capacity]: most tracers see a
      few thousand events, so a full-capacity ring up front would cost
@@ -46,11 +66,7 @@ type t = {
   mutable total : int;
   mutable dropped : int;
   mutable clock : unit -> int;
-  markers : (int, payload) Hashtbl.t;
-  (* Live marker count per 4 KiB VA page, so a block dispatcher can
-     decide with one lookup whether a whole block (blocks never cross
-     pages) needs per-instruction marker checks. *)
-  marker_pages : (int, int) Hashtbl.t;
+  mutable markers : markers;
 }
 
 let default_capacity = 1 lsl 16
@@ -64,13 +80,12 @@ let create ?(capacity = default_capacity) () =
     total = 0;
     dropped = 0;
     clock = (fun () -> 0);
-    markers = Hashtbl.create 64;
-    marker_pages = Hashtbl.create 16;
+    markers = no_markers;
   }
 
 let set_clock t f = t.clock <- f
 
-(* A fresh, empty tracer with [t]'s configuration and marker table —
+(* A fresh, empty tracer with [t]'s configuration and markers —
    the replay harness attaches one to a restored machine so the
    re-execution emits into its own ring. Seeding [total] with the
    original's capture-time value makes replayed sequence numbers
@@ -83,8 +98,7 @@ let clone_config ?total t =
     total = (match total with Some n -> n | None -> 0);
     dropped = 0;
     clock = (fun () -> 0);
-    markers = Hashtbl.copy t.markers;
-    marker_pages = Hashtbl.copy t.marker_pages }
+    markers = t.markers }
 
 (* [e] fills the new slots; only the first [t.len] are ever read. *)
 let grow t e =
@@ -128,20 +142,67 @@ let clear t =
 
 let marker_page pc = pc lsr 12 (* blocks are bounded by 4 KiB pages *)
 
-let add_marker t ~pc payload =
+let with_marker m ~pc payload =
   (* Replacing an existing marker must not inflate the page count. *)
-  if not (Hashtbl.mem t.markers pc) then begin
+  if Int_map.mem pc m.at then
+    { m with
+      at = Int_map.add pc payload m.at;
+      sets = List.filter (fun s -> not (Int_map.mem pc s.at)) m.sets }
+  else
     let pg = marker_page pc in
-    let n = match Hashtbl.find_opt t.marker_pages pg with
-      | Some n -> n
-      | None -> 0
-    in
-    Hashtbl.replace t.marker_pages pg (n + 1)
-  end;
-  Hashtbl.replace t.markers pc payload
+    let n = Option.value (Int_map.find_opt pg m.pages) ~default:0 in
+    { m with
+      at = Int_map.add pc payload m.at;
+      pages = Int_map.add pg (n + 1) m.pages }
 
-let marker_at t pc = Hashtbl.find_opt t.markers pc
-let page_marked t pc = Hashtbl.mem t.marker_pages (marker_page pc)
+let add_marker t ~pc payload = t.markers <- with_marker t.markers ~pc payload
+
+let marker_set l =
+  List.fold_left (fun m (pc, p) -> with_marker m ~pc p) no_markers l
+
+let add_markers t s =
+  let m = t.markers in
+  if Int_map.is_empty m.at then t.markers <- { s with sets = [ s ] }
+  else if not (List.memq s m.sets) then
+    let m = Int_map.fold (fun pc p m -> with_marker m ~pc p) s.at m in
+    t.markers <- { m with sets = s :: m.sets }
+
+let marker_at t pc = Int_map.find_opt pc t.markers.at
+let page_marked t pc = Int_map.mem (marker_page pc) t.markers.pages
+
+(* Typed event equality: what polymorphic [=] decides, without
+   walking the values through [compare_val]. *)
+
+let equal_payload a b =
+  match (a, b) with
+  | Trap_enter a, Trap_enter b ->
+      a.ec = b.ec && a.from_el = b.from_el && a.to_el = b.to_el
+  | Trap_exit a, Trap_exit b -> a.from_el = b.from_el && a.to_el = b.to_el
+  | Gate_entry a, Gate_entry b -> a.gate = b.gate
+  | Gate_check a, Gate_check b -> a.gate = b.gate
+  | Gate_exit a, Gate_exit b -> a.gate = b.gate
+  | Domain_switch a, Domain_switch b -> a.asid = b.asid
+  | Sanitizer_scan a, Sanitizer_scan b -> a.pa = b.pa && a.ok = b.ok
+  | Wx_bbm a, Wx_bbm b -> a.fake = b.fake
+  | Stage_fault a, Stage_fault b -> a.stage = b.stage && a.va = b.va
+  | World_switch a, World_switch b -> a.enter = b.enter && a.vmid = b.vmid
+  | Retention a, Retention b -> a.nr = b.nr && a.hit = b.hit
+  | Tlb_flush a, Tlb_flush b -> a.scope = b.scope && a.vmid = b.vmid
+  | Syscall a, Syscall b -> a.nr = b.nr
+  | Nested_forward a, Nested_forward b ->
+      a.enter = b.enter && a.repoint = b.repoint
+  | Irq_enter a, Irq_enter b ->
+      a.intid = b.intid && a.from_el = b.from_el && a.to_el = b.to_el
+  | Preempt a, Preempt b -> a.task = b.task
+  | ( ( Trap_enter _ | Trap_exit _ | Gate_entry _ | Gate_check _
+      | Gate_exit _ | Domain_switch _ | Sanitizer_scan _ | Wx_bbm _
+      | Stage_fault _ | World_switch _ | Retention _ | Tlb_flush _
+      | Syscall _ | Nested_forward _ | Irq_enter _ | Preempt _ ),
+      _ ) ->
+      false
+
+let equal_event a b =
+  a.seq = b.seq && a.cycles = b.cycles && equal_payload a.payload b.payload
 
 (* Names and JSONL export. *)
 

@@ -45,10 +45,11 @@ val create : ?capacity:int -> unit -> t
 
 val clone_config : ?total:int -> t -> t
 (** A fresh, empty tracer with the same capacity and registered
-    markers. [total] (default 0) seeds the sequence counter — pass the
-    value captured at snapshot time and a deterministic re-execution
-    emits events byte-identical to the original ring's suffix. The
-    clock is not copied; attach the clone to a core to install one. *)
+    markers, which it shares by pointer (O(1)). [total] (default 0)
+    seeds the sequence counter — pass the value captured at snapshot
+    time and a deterministic re-execution emits events byte-identical
+    to the original ring's suffix. The clock is not copied; attach the
+    clone to a core to install one. *)
 
 val set_clock : t -> (unit -> int) -> unit
 (** Clock used by {!emit_now} for emitters that do not carry a cycle
@@ -70,9 +71,29 @@ val clear : t -> unit
 
 val add_marker : t -> pc:int -> payload -> unit
 (** Register a PC marker: when an attached core is about to execute
-    the instruction at [pc], it emits the payload. *)
+    the instruction at [pc], it emits the payload. A tracer's markers
+    are one immutable value that {!clone_config} shares: a marker
+    added to a clone never reaches its source or a sibling clone, and
+    the other way round. *)
+
+type markers
+(** An immutable set of PC markers, built once and shared by
+    pointer. *)
+
+val marker_set : (int * payload) list -> markers
+(** The markers of the [(pc, payload)] list; a later pair replaces an
+    earlier one at the same PC. *)
+
+val add_markers : t -> markers -> unit
+(** [add_markers t s] registers every marker of [s], replacing [t]'s
+    at the same PCs. It costs O(1) in two cases: [t] has no markers
+    (it takes [s] by pointer), or [t] already carries all of [s]
+    (say, [t] is a {!clone_config} of a tracer [s] was added to, and
+    no marker at a PC of [s] was replaced since), when it does
+    nothing. Otherwise it adds [s]'s markers one by one. *)
 
 val marker_at : t -> int -> payload option
+(** The marker at a PC: an int-keyed tree lookup, no hashing. *)
 
 val page_marked : t -> int -> bool
 (** [page_marked t pc] is [true] iff any marker is registered in
@@ -80,6 +101,10 @@ val page_marked : t -> int -> bool
     block entry: superblocks never cross a page, so a [false] answer
     proves no in-block instruction can have a marker and the whole
     block may run without per-instruction marker checks. *)
+
+val equal_event : event -> event -> bool
+(** [equal_event a b] is [a = b], compared field by field: sequence
+    number, cycles, and the payload by constructor. *)
 
 val payload_name : payload -> string
 val event_to_json : event -> string

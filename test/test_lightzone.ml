@@ -800,6 +800,149 @@ let prop_fake_phys_restore =
           agrees ())
         ops)
 
+(* The allocator's bitmaps are shared by pointer with every state
+   captured from it or restored into it: an allocator writes only
+   after copying them. What a state's allocator does next — its live
+   set, then eleven allocations across a rollover — must not change
+   however the allocators around it are written after a capture, a
+   restore or an [of_state]. *)
+let test_asid_state_copy_on_write () =
+  let a = Asid_alloc.create ~bits:4 ~flush:ignore () in
+  let held = List.init 6 (fun _ -> Asid_alloc.alloc a) in
+  let free_every parity =
+    List.iteri
+      (fun i asid -> if i mod 2 = parity then Asid_alloc.free a asid)
+      held
+  in
+  free_every 0;
+  let s = Asid_alloc.capture a in
+  let future x =
+    let live = List.filter (Asid_alloc.is_live x) (List.init 16 Fun.id) in
+    let allocs = List.init 11 (fun _ -> Asid_alloc.alloc x) in
+    (live, allocs, Asid_alloc.recycled x, Asid_alloc.rollovers x)
+  in
+  let of_s () = future (Asid_alloc.of_state s ~flush:ignore) in
+  let expected = of_s () in
+  let _, _, _, rollovers = expected in
+  check_int "the future crosses a rollover" 1 rollovers;
+  check_bool "a write after of_state left the state alone" true
+    (of_s () = expected);
+  free_every 1;
+  ignore (future a);
+  check_bool "writes after the capture left the state alone" true
+    (of_s () = expected);
+  Asid_alloc.restore a s;
+  check_bool "the restored allocator replays the state" true
+    (future a = expected);
+  check_bool "writes after the restore left the state alone" true
+    (of_s () = expected)
+
+(* ------------------------------------------------------------------ *)
+(* Tracer markers *)
+
+let payload =
+  Alcotest.testable
+    (fun ppf p -> Format.pp_print_string ppf (Lz_trace.Trace.payload_name p))
+    ( = )
+
+(* Kmod's gate markers: on a fresh tracer, exactly one Gate_entry at
+   each gate's entry and one Gate_check at its check phase, on the
+   gates' 16 pages and nowhere in the page on either side. *)
+let test_gate_markers_exact () =
+  let module Trace = Lz_trace.Trace in
+  let _, kernel, proc = fresh () in
+  let t = enter kernel proc in
+  let tr = Trace.create () in
+  Kmod.set_tracer t (Some tr);
+  let base = Gate.gate_va 0 in
+  let pages = Gate.max_gates * Gate.gate_stride / 4096 in
+  check_int "the gates span 16 pages" 16 pages;
+  let pcs = List.init ((pages + 2) * 1024) (fun i -> base - 4096 + (4 * i)) in
+  let found =
+    List.filter_map
+      (fun pc -> Option.map (fun p -> (pc, p)) (Trace.marker_at tr pc))
+      pcs
+  in
+  let expected =
+    List.concat_map
+      (fun g ->
+        [ (Gate.gate_va g, Trace.Gate_entry { gate = g });
+          (Gate.gate_va g + Gate.phase2_off, Trace.Gate_check { gate = g }) ])
+      (List.init Gate.max_gates Fun.id)
+  in
+  Alcotest.(check (list (pair int payload)))
+    "the gates' entry and check PCs" expected found;
+  for p = -1 to pages do
+    check_bool
+      (Printf.sprintf "gate page %d marked" p)
+      (p >= 0 && p < pages)
+      (Trace.page_marked tr (base + (p * 4096)))
+  done
+
+(* A tracer's markers are one value its clones share: what one adds —
+   by hand, or through [register_gate_entry] while attached as a fuzz
+   case's run does — no other sees. A clone that replaced a gate
+   marker gets it back when attached. *)
+let test_clone_markers_isolated () =
+  let module Trace = Lz_trace.Trace in
+  let _, kernel, proc = fresh () in
+  let t = enter kernel proc in
+  let src = Trace.create () in
+  Kmod.set_tracer t (Some src);
+  let c1 = Trace.clone_config src and c2 = Trace.clone_config src in
+  let has tr pc = Trace.marker_at tr pc <> None in
+  let seen pc = (has src pc, has c1 pc, has c2 pc) in
+  let check_seen what expected pc =
+    check_bool what true (seen pc = expected)
+  in
+  Trace.add_marker c1 ~pc:(code_va + 8) (Trace.Syscall { nr = 1 });
+  check_seen "a clone's marker stays in the clone" (false, true, false)
+    (code_va + 8);
+  check_bool "and so does its page" true
+    (Trace.page_marked c1 code_va && not (Trace.page_marked src code_va));
+  Trace.add_marker src ~pc:(code_va + 16) (Trace.Syscall { nr = 2 });
+  check_seen "the source's marker stays in the source" (true, false, false)
+    (code_va + 16);
+  Kmod.set_tracer t (Some c2);
+  Kmod.register_gate_entry t ~gate:3 ~entry:(code_va + 24);
+  check_seen "a gate exit registered under a clone" (false, false, true)
+    (code_va + 24);
+  Alcotest.(check (option payload))
+    "the attached clone carries the gate markers"
+    (Some (Trace.Gate_entry { gate = 5 }))
+    (Trace.marker_at c2 (Gate.gate_va 5));
+  Trace.add_marker c1 ~pc:(Gate.gate_va 7) (Trace.Syscall { nr = 3 });
+  Kmod.set_tracer t (Some c1);
+  Alcotest.(check (option payload))
+    "attaching restores a replaced gate marker"
+    (Some (Trace.Gate_entry { gate = 7 }))
+    (Trace.marker_at c1 (Gate.gate_va 7));
+  Alcotest.(check (option payload))
+    "and leaves the clone's own" (Some (Trace.Syscall { nr = 1 }))
+    (Trace.marker_at c1 (code_va + 8));
+  Alcotest.(check (option payload))
+    "the source keeps its gate marker"
+    (Some (Trace.Gate_entry { gate = 7 }))
+    (Trace.marker_at src (Gate.gate_va 7))
+
+(* What the fuzz oracle does per engine run: clone the case's attached
+   tracer and attach the clone. Neither rebuilds the gate markers. *)
+let test_clone_attach_allocation () =
+  let module Trace = Lz_trace.Trace in
+  let _, kernel, proc = fresh () in
+  let t = enter kernel proc in
+  let tr = Trace.create () in
+  Kmod.set_tracer t (Some tr);
+  Kmod.register_gate_entry t ~gate:0 ~entry:(code_va + 12);
+  let attach () = Kmod.set_tracer t (Some (Trace.clone_config tr)) in
+  attach ();
+  let w0 = Gc.minor_words () in
+  attach ();
+  let words = Gc.minor_words () -. w0 in
+  check_bool
+    (Printf.sprintf "clone + attach allocated %.0f minor words" words)
+    true (words <= 48.)
+
 (* The ASID index of a fork is sized to the image's largest live ASID
    and grows as zones register past it; every restore sizes it again.
    Through random zone churn from a fork of a four-zone image, with
@@ -952,4 +1095,13 @@ let () =
             test_asid_rollover_preserves_live;
           Alcotest.test_case "pgt id recycling isolates" `Quick
             test_pgt_id_recycling_isolates;
-          QCheck_alcotest.to_alcotest prop_asid_index ] ) ]
+          Alcotest.test_case "snapshot bitmaps copy on write" `Quick
+            test_asid_state_copy_on_write;
+          QCheck_alcotest.to_alcotest prop_asid_index ] );
+      ( "tracer markers",
+        [ Alcotest.test_case "gate markers exact" `Quick
+            test_gate_markers_exact;
+          Alcotest.test_case "clones isolated" `Quick
+            test_clone_markers_isolated;
+          Alcotest.test_case "clone + attach allocates O(1)" `Quick
+            test_clone_attach_allocation ] ) ]

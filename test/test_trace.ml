@@ -241,6 +241,66 @@ let test_event_json () =
   check_bool "json names the event" true (contains s "tlb_flush");
   check_bool "json carries the timestamp" true (contains s "41")
 
+(* Typed event equality agrees with polymorphic [=] on pairs drawn
+   over all 16 payload constructors: an event and either a copy of it,
+   a copy with one field changed (sequence number, cycles or any
+   payload field), or an event of another constructor. Fields come
+   from a small range so unrelated draws can also be equal. *)
+let arity = [| 3; 2; 1; 1; 1; 1; 2; 1; 2; 2; 2; 2; 1; 2; 3; 1 |]
+
+let event_of k f =
+  let b i = f.(i + 2) land 1 = 1 and n i = f.(i + 2) in
+  let scope =
+    match f.(2) land 3 with
+    | 0 -> Trace.Flush_all
+    | 1 -> Trace.Flush_vmid
+    | 2 -> Trace.Flush_asid
+    | _ -> Trace.Flush_va
+  in
+  let payload =
+    match k with
+    | 0 -> Trace.Trap_enter { ec = n 0; from_el = n 1; to_el = n 2 }
+    | 1 -> Trace.Trap_exit { from_el = n 0; to_el = n 1 }
+    | 2 -> Trace.Gate_entry { gate = n 0 }
+    | 3 -> Trace.Gate_check { gate = n 0 }
+    | 4 -> Trace.Gate_exit { gate = n 0 }
+    | 5 -> Trace.Domain_switch { asid = n 0 }
+    | 6 -> Trace.Sanitizer_scan { pa = n 0; ok = b 1 }
+    | 7 -> Trace.Wx_bbm { fake = n 0 }
+    | 8 -> Trace.Stage_fault { stage = n 0; va = n 1 }
+    | 9 -> Trace.World_switch { enter = b 0; vmid = n 1 }
+    | 10 -> Trace.Retention { nr = n 0; hit = b 1 }
+    | 11 -> Trace.Tlb_flush { scope; vmid = n 1 }
+    | 12 -> Trace.Syscall { nr = n 0 }
+    | 13 -> Trace.Nested_forward { enter = b 0; repoint = b 1 }
+    | 14 -> Trace.Irq_enter { intid = n 0; from_el = n 1; to_el = n 2 }
+    | _ -> Trace.Preempt { task = n 0 }
+  in
+  { Trace.seq = f.(0); cycles = f.(1); payload }
+
+let gen_event_pair =
+  let open QCheck2.Gen in
+  let* k = int_range 0 15 in
+  let* f = array_size (return 5) (int_range 0 3) in
+  let* other = oneof [ map Option.some (int_range 0 15); return None ] in
+  let+ field = int_range (-1) (1 + arity.(k)) in
+  let b =
+    match other with
+    | Some k' when k' <> k -> event_of k' f
+    | _ ->
+        (* [field] -1 copies; +1 flips a bool and moves a scope too. *)
+        event_of k
+          (Array.mapi (fun i v -> if i = field then v + 1 else v) f)
+  in
+  (event_of k f, b)
+
+let prop_equal_event =
+  QCheck2.Test.make ~name:"equal_event is structural equality" ~count:2000
+    ~print:(fun (a, b) ->
+      Trace.event_to_json a ^ " / " ^ Trace.event_to_json b)
+    gen_event_pair
+    (fun (a, b) -> Trace.equal_event a b = (a = b))
+
 (* ------------------------------------------------------------------ *)
 (* TLB flush wiring *)
 
@@ -458,7 +518,8 @@ let () =
         [ Alcotest.test_case "overflow drops newest, keeps earliest" `Quick
             test_ring_overflow;
           Alcotest.test_case "json export" `Quick test_event_json;
-          q prop_ring_grows ] );
+          q prop_ring_grows;
+          q prop_equal_event ] );
       ( "wiring",
         [ Alcotest.test_case "tlb flush events" `Quick test_tlb_flush_events ]
       );
